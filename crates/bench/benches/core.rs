@@ -42,8 +42,8 @@ fn main() {
     micro_targets::bench_swapin_batch(&mut c);
     let micro = take_measurements();
 
-    // End-to-end: every quick-scale scenario, uncached and serial — the
-    // `paper_tables --quick --no-cache` cells, except that the overload
+    // End-to-end: every quick-scale scenario, serial — the
+    // `paper_tables --quick` cells, except that the overload
     // matrix runs at its shrunk bench-tier horizon (schema v3).
     let start = Instant::now();
     let outputs = sweep::run_pool(&sweep::bench_scenarios(Scale::Quick), &SweepOptions::new());

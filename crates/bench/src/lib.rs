@@ -1,19 +1,15 @@
 //! Criterion benchmark harness for the performance-isolation
-//! reproduction.
+//! reproduction. Two bench targets:
 //!
-//! One bench target per paper artefact:
+//! * `core` — the tracked perf baseline: the hot-path micros below, the
+//!   quick-scale sweep of every experiment matrix end to end, and the
+//!   attribution overhead ratio, written to `BENCH_core.json` and
+//!   ratcheted in CI.
+//! * `micro` — substrate micro-benchmarks (event queue, scheduler
+//!   picks, fault path, RNG, disk model, bandwidth tracker).
 //!
-//! * `pmake8` — Figures 2 and 3 (§4.2)
-//! * `cpu_iso` — Figure 5 (§4.3)
-//! * `mem_iso` — Figure 7 (§4.4)
-//! * `disk_bw` — Tables 3 and 4 (§4.5)
-//! * `ablation` — the §3.2/§3.3/§3.4 design-choice sweeps
-//! * `micro` — substrate micro-benchmarks (event queue, disk model,
-//!   scheduler picks)
-//!
-//! Each experiment bench prints the paper-shaped table once before
-//! timing, so `cargo bench` regenerates every figure and table while
-//! measuring the harness cost at `Quick` scale.
+//! The paper's figures and tables come from the examples
+//! (`cargo run --release --example paper_tables`), not from the benches.
 
 /// Re-exported experiment scale for bench configuration.
 pub use experiments::Scale;

@@ -4,7 +4,8 @@
 //! The paper's SPUs form a flat partition of the machine, but its own
 //! motivating scenario (server consolidation, §1) is naturally nested: a
 //! *tenant* owns an entitlement and subdivides it among *services*. The
-//! [`SpuTree`] overlays that nesting on the existing flat [`SpuSet`]:
+//! [`SpuTree`] overlays that nesting on the existing flat
+//! [`SpuSet`](crate::SpuSet):
 //!
 //! * **Leaves stay authoritative.** Every service is an ordinary user
 //!   SPU whose weight lives in the `SpuSet` exactly as before; all flat

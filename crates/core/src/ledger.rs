@@ -272,9 +272,10 @@ impl LedgerShard {
 ///
 /// [`fold`](Self::fold) re-verifies conservation exactly: the per-CPU
 /// shard deltas must sum to the per-SPU pending totals, and applying
-/// them must reproduce the exact view. The [`LedgerAuditor`]
-/// (crate::audit) then audits the folded global ledger, so the paper's
-/// conservation invariant holds bit-for-bit at every audit point.
+/// them must reproduce the exact view. The
+/// [`LedgerAuditor`](crate::LedgerAuditor) then audits the folded
+/// global ledger, so the paper's conservation invariant holds
+/// bit-for-bit at every audit point.
 ///
 /// # Examples
 ///

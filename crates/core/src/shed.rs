@@ -45,7 +45,7 @@ impl ShedPolicy {
         ShedPolicy::Codel,
     ];
 
-    /// Short stable label for tables and cache keys.
+    /// Short stable label for tables and cell keys.
     pub const fn name(self) -> &'static str {
         match self {
             ShedPolicy::None => "none",

@@ -155,9 +155,9 @@ impl SpuSet {
         }
     }
 
-    /// Attaches a tenant hierarchy (see [`SpuTree`]). The leaf SPUs
-    /// keep their flat weights; the tree adds tenant scoping for
-    /// lending, revocation, brown-out and the subtree audit.
+    /// Attaches a tenant hierarchy (see [`SpuTree`](crate::SpuTree)).
+    /// The leaf SPUs keep their flat weights; the tree adds tenant
+    /// scoping for lending, revocation, brown-out and the subtree audit.
     ///
     /// # Panics
     ///

@@ -639,16 +639,6 @@ impl Scenario for AblationScenario {
         }
     }
 
-    fn cell_fingerprint(&self, cell: &AblationCell) -> u64 {
-        let (k, cap) = match *cell {
-            AblationCell::Lock { rw } => (boot_lock(rw, self.scale), 600),
-            AblationCell::Ipi { ipi } => (boot_ipi(ipi, self.scale), 300),
-            AblationCell::Reserve { frac } => (boot_reserve(frac, self.scale), 1200),
-            AblationCell::Bw { threshold } => (boot_bw(threshold, self.scale), 600),
-        };
-        sweep::kernel_cell_fingerprint(&k, SimTime::from_secs(cap), "ablation-v1")
-    }
-
     fn run_cell(&self, cell: &AblationCell) -> Value {
         match *cell {
             AblationCell::Lock { rw } => {

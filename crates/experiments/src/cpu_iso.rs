@@ -155,18 +155,6 @@ impl sweep::Outcome for AppResponses {
             Value::F(self.vcs),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 3 {
-            return None;
-        }
-        Some(AppResponses {
-            ocean: l[0].as_f64()?,
-            flashlite: l[1].as_f64()?,
-            vcs: l[2].as_f64()?,
-        })
-    }
 }
 
 impl Render for CpuIsoResult {
@@ -196,14 +184,6 @@ impl Scenario for CpuIsoScenario {
 
     fn cell_key(&self, scheme: &Scheme) -> String {
         scheme.label().to_lowercase()
-    }
-
-    fn cell_fingerprint(&self, &scheme: &Scheme) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, self.scale),
-            SimTime::from_secs(300),
-            "cpu-iso-v1",
-        )
     }
 
     fn run_cell(&self, &scheme: &Scheme) -> AppResponses {

@@ -200,26 +200,6 @@ impl sweep::Outcome for DiskRow {
             Value::F(self.avg_seek_ms),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 6 {
-            return None;
-        }
-        let label = l[0].as_str()?;
-        let policy = SchedulerKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.label() == label)?;
-        Some(DiskRow {
-            policy,
-            job_a_response: l[1].as_f64()?,
-            job_b_response: l[2].as_f64()?,
-            job_a_wait_ms: l[3].as_f64()?,
-            job_b_wait_ms: l[4].as_f64()?,
-            avg_seek_ms: l[5].as_f64()?,
-        })
-    }
 }
 
 /// Which §4.5 workload a cell drives.
@@ -320,14 +300,6 @@ impl Scenario for DiskBwScenario {
 
     fn cell_key(&self, &(workload, policy): &Self::Cell) -> String {
         format!("{}-{}", workload.key(), policy.label().to_lowercase())
-    }
-
-    fn cell_fingerprint(&self, &(workload, policy): &Self::Cell) -> u64 {
-        let k = match workload {
-            DiskWorkload::PmakeCopy => boot_pmake_copy(policy, self.scale),
-            DiskWorkload::BigSmall => boot_big_small(policy, self.scale),
-        };
-        sweep::kernel_cell_fingerprint(&k, SimTime::from_secs(600), "disk-bw-v1")
     }
 
     fn run_cell(&self, &(workload, policy): &Self::Cell) -> DiskRow {

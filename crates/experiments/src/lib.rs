@@ -24,8 +24,7 @@
 //!
 //! All twelve harnesses implement the [`sweep::Scenario`] trait, so any
 //! experiment matrix — or all of them, via [`sweep::all_scenarios`] —
-//! can be driven by the deterministic parallel executor in [`sweep`]
-//! with content-addressed result caching.
+//! can be driven by the deterministic parallel executor in [`sweep`].
 //!
 //! # Examples
 //!
@@ -62,17 +61,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Short stable label ("full" / "quick"), used in cache keys.
+    /// Short stable label ("full" / "quick"), for log lines.
     pub const fn label(self) -> &'static str {
         match self {
             Scale::Full => "full",
             Scale::Quick => "quick",
         }
-    }
-}
-
-impl event_sim::Fingerprint for Scale {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(self.label());
     }
 }

@@ -342,36 +342,6 @@ impl sweep::Outcome for LeakRow {
             Value::B(self.completed),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 11 {
-            return None;
-        }
-        let scheme_label = l[0].as_str()?;
-        let scheme = Scheme::ALL
-            .iter()
-            .copied()
-            .find(|s| s.label() == scheme_label)?;
-        let mode_name = l[1].as_str()?;
-        let mode = LockMode::ALL
-            .iter()
-            .copied()
-            .find(|m| m.name() == mode_name)?;
-        Some(LeakRow {
-            scheme,
-            mode,
-            vic_wait_on_ant_s: l[2].as_f64()?,
-            vic_wait_events: l[3].as_u64()?,
-            ant_wait_on_vic_s: l[4].as_f64()?,
-            revoke_s: l[5].as_f64()?,
-            vic_p99_s: l[6].as_f64()?,
-            vic_violation_frac: l[7].as_f64()?,
-            vic_goodput: l[8].as_f64()?,
-            vic_jobs: l[9].as_u64()?,
-            completed: l[10].as_bool()?,
-        })
-    }
 }
 
 impl Render for LockLeakageResult {
@@ -405,10 +375,6 @@ impl Scenario for LockLeakageScenario {
 
     fn cell_key(&self, &(scheme, mode): &Self::Cell) -> String {
         format!("{}-{}", scheme.label().to_lowercase(), mode.name())
-    }
-
-    fn cell_fingerprint(&self, &(scheme, mode): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(&boot(scheme, mode, self.scale), CAP, "lock-leakage-v1")
     }
 
     fn run_cell(&self, &(scheme, mode): &Self::Cell) -> LeakRow {

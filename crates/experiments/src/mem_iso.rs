@@ -193,19 +193,6 @@ impl sweep::Outcome for MemIsoRun {
             Value::F(p99),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 6 {
-            return None;
-        }
-        Some(MemIsoRun {
-            spu1_mean: l[0].as_f64()?,
-            spu2_mean: l[1].as_f64()?,
-            spu2_major_faults: l[2].as_u64()?,
-            percentiles: (l[3].as_f64()?, l[4].as_f64()?, l[5].as_f64()?).into(),
-        })
-    }
 }
 
 impl Render for MemIsoResult {
@@ -242,14 +229,6 @@ impl Scenario for MemIsoScenario {
             "{}-{}",
             scheme.label().to_lowercase(),
             if unbalanced { "unbalanced" } else { "balanced" }
-        )
-    }
-
-    fn cell_fingerprint(&self, &(scheme, unbalanced): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, unbalanced, self.scale),
-            SimTime::from_secs(1200),
-            "mem-iso-v1",
         )
     }
 

@@ -153,23 +153,6 @@ impl sweep::Outcome for NetRow {
             Value::F(self.bulk_finish_s),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 4 {
-            return None;
-        }
-        let label = l[0].as_str()?;
-        let scheduler = [PacketScheduler::Fcfs, PacketScheduler::Fair]
-            .into_iter()
-            .find(|s| s.label() == label)?;
-        Some(NetRow {
-            scheduler,
-            interactive_wait_ms: l[1].as_f64()?,
-            bulk_wait_ms: l[2].as_f64()?,
-            bulk_finish_s: l[3].as_f64()?,
-        })
-    }
 }
 
 impl Render for NetTable {
@@ -200,22 +183,6 @@ impl Scenario for NetBwScenario {
 
     fn cell_key(&self, scheduler: &PacketScheduler) -> String {
         scheduler.label().to_lowercase()
-    }
-
-    fn cell_fingerprint(&self, scheduler: &PacketScheduler) -> u64 {
-        // No kernel here: hash the standalone simulation's inputs — the
-        // scheduler, the scale-dependent packet counts, and the fixed
-        // NIC model / traffic shape baked into `run_one` (covered by
-        // the version tag).
-        let (bulk_packets, interactive_packets) = match self.scale {
-            Scale::Full => (2000u32, 400u32),
-            Scale::Quick => (500, 100),
-        };
-        sweep::manual_cell_fingerprint("net-bw-v1", |h| {
-            h.write_str(scheduler.label());
-            h.write_u32(bulk_packets);
-            h.write_u32(interactive_packets);
-        })
     }
 
     fn run_cell(&self, &scheduler: &PacketScheduler) -> NetRow {

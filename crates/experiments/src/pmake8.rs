@@ -194,18 +194,6 @@ impl sweep::Outcome for Pmake8Run {
             Value::F(p99),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 5 {
-            return None;
-        }
-        Some(Pmake8Run {
-            light_mean: l[0].as_f64()?,
-            heavy_mean: l[1].as_f64()?,
-            percentiles: (l[2].as_f64()?, l[3].as_f64()?, l[4].as_f64()?).into(),
-        })
-    }
 }
 
 impl Render for Pmake8Result {
@@ -241,14 +229,6 @@ impl Scenario for Pmake8Scenario {
             "{}-{}",
             scheme.label().to_lowercase(),
             if unbalanced { "unbalanced" } else { "balanced" }
-        )
-    }
-
-    fn cell_fingerprint(&self, &(scheme, unbalanced): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot(scheme, unbalanced, self.scale),
-            SimTime::from_secs(600),
-            "pmake8-v1",
         )
     }
 

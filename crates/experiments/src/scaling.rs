@@ -133,14 +133,6 @@ impl Scenario for ScalingScenario {
         format!("{level}jobs-{}", scheme.label().to_lowercase())
     }
 
-    fn cell_fingerprint(&self, &(level, scheme): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot_point(scheme, level, self.scale),
-            SimTime::from_secs(1200),
-            "scaling-v1",
-        )
-    }
-
     fn run_cell(&self, &(level, scheme): &Self::Cell) -> f64 {
         run_point(scheme, level, self.scale)
     }
@@ -280,20 +272,6 @@ impl sweep::Outcome for ScaleCellOutcome {
             Value::F(self.sim_end_s),
         ])
     }
-
-    fn decode(v: &Value) -> Option<Self> {
-        let l = v.as_list()?;
-        if l.len() != 5 {
-            return None;
-        }
-        Some(ScaleCellOutcome {
-            cpus: l[0].as_u64()?,
-            spus: l[1].as_u64()?,
-            light_mean_s: l[2].as_f64()?,
-            heavy_mean_s: l[3].as_f64()?,
-            sim_end_s: l[4].as_f64()?,
-        })
-    }
 }
 
 /// Runs one machine-scaling cell.
@@ -337,7 +315,7 @@ const ISOLATION_BAND: f64 = 0.12;
 impl CpuScaleReport {
     /// The §2.1 guarantee along the machine axis: for each
     /// oversubscription factor, every machine size's light-SPU response
-    /// within [`ISOLATION_BAND`] of the smallest machine's. Returns the
+    /// within `ISOLATION_BAND` of the smallest machine's. Returns the
     /// offending `(cpus, mult, ratio)` triples.
     pub fn isolation_violations(&self) -> Vec<(u64, u64, f64)> {
         let mut bad = Vec::new();
@@ -474,14 +452,6 @@ impl Scenario for CpuScaleScenario {
         format!("{cpus}cpu-{mult}x")
     }
 
-    fn cell_fingerprint(&self, &(cpus, mult): &Self::Cell) -> u64 {
-        sweep::kernel_cell_fingerprint(
-            &boot_scale_cell(cpus, mult, self.scale),
-            SCALE_CAP,
-            "cpu-scale-v1",
-        )
-    }
-
     fn run_cell(&self, &(cpus, mult): &Self::Cell) -> ScaleCellOutcome {
         run_scale_cell(cpus, mult, self.scale)
     }
@@ -499,21 +469,14 @@ pub fn throughput_summary(rows: &[ScaleCellOutcome], stats: &[CellStat]) -> Stri
     let mut out = String::new();
     for (r, s) in rows.iter().zip(stats) {
         let wall = s.wall.as_secs_f64();
-        if s.cached {
-            out.push_str(&format!(
-                "  {:>4} cpus {:>4} spus: (cached)\n",
-                r.cpus, r.spus
-            ));
-        } else {
-            out.push_str(&format!(
-                "  {:>4} cpus {:>4} spus: {:>8.2} sim-s/wall-s ({:.3} sim s in {:.3} wall s)\n",
-                r.cpus,
-                r.spus,
-                r.sim_end_s / wall.max(1e-9),
-                r.sim_end_s,
-                wall
-            ));
-        }
+        out.push_str(&format!(
+            "  {:>4} cpus {:>4} spus: {:>8.2} sim-s/wall-s ({:.3} sim s in {:.3} wall s)\n",
+            r.cpus,
+            r.spus,
+            r.sim_end_s / wall.max(1e-9),
+            r.sim_end_s,
+            wall
+        ));
     }
     out
 }

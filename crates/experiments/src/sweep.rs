@@ -4,8 +4,8 @@
 //! tables as well as the extensions — is a *sweep*: a set of
 //! independent simulation cells (scheme × configuration, policy ×
 //! workload, …) whose outcomes are reduced into one report. The
-//! [`Scenario`] trait captures that shape once, and [`run_scenario`]
-//! executes any scenario with:
+//! [`Scenario`] trait captures that shape once. [`run_scenario`] runs
+//! one scenario and [`run_pool`] runs many; both use the same executor:
 //!
 //! * **Parallel fan-out** — cells are distributed over a scoped
 //!   `std::thread` worker pool ([`SweepOptions::threads`]). Each cell is
@@ -16,18 +16,9 @@
 //!   completion order. Reduction and rendering therefore see exactly
 //!   the sequence a serial run would produce, making parallel output
 //!   *byte-identical* to serial output.
-//! * **Content-addressed caching** — each cell's outcome can be stored
-//!   under a stable fingerprint of everything that determines it
-//!   ([`Scenario::cell_fingerprint`], usually a
-//!   [`Kernel::fingerprint`](smp_kernel::Kernel::fingerprint)).
-//!   Re-running a sweep only re-simulates cells whose inputs changed:
-//!   a changed cell changes its fingerprint, which changes its cache
-//!   file name, which misses. Outcomes round-trip through the cache
-//!   bit-exactly (floats are stored as bit patterns), so a cache hit
-//!   is indistinguishable from a fresh run.
-//! * **Per-cell counters** — wall-clock and cache activity are
-//!   reported through the existing `obsv` counter registry and its
-//!   JSONL exporter ([`SweepRun::counters_jsonl`]).
+//! * **Per-cell counters** — wall-clock is reported through the
+//!   existing `obsv` counter registry and its JSONL exporter
+//!   ([`SweepRun::counters_jsonl`]).
 //!
 //! # Examples
 //!
@@ -42,30 +33,24 @@
 //! }
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use event_sim::{Fingerprint, Fnv64, SimTime};
 use smp_kernel::export::{json_escape, json_num};
-use smp_kernel::{CounterRegistry, Kernel, ObsvReport};
+use smp_kernel::{CounterRegistry, ObsvReport};
 
 use crate::Scale;
 
 // ---------------------------------------------------------------------------
-// Outcome values and their codec
+// Outcome values
 // ---------------------------------------------------------------------------
 
-/// A structured cell outcome: the closed data model every
-/// [`Outcome`] encodes into.
-///
-/// `Value` has an exact text codec (floats as IEEE-754 bit patterns) so
-/// cached outcomes decode to *bit-identical* values, and a JSON
-/// rendering for the export stream.
+/// A structured cell outcome: the closed data model every [`Outcome`]
+/// encodes into for the outcome export.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
-    /// A float, stored bit-exactly.
+    /// A float.
     F(f64),
     /// An unsigned integer.
     U(u64),
@@ -99,73 +84,11 @@ impl Value {
         }
     }
 
-    /// The bool inside, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::B(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string inside, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::S(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The items inside, if this is a list.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
             Value::L(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Exact text encoding (appended to `out`). Floats are written as
-    /// 16-hex-digit bit patterns, so decoding reproduces them bitwise.
-    fn encode_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            Value::F(x) => {
-                let _ = write!(out, "f{:016x}", x.to_bits());
-            }
-            Value::U(x) => {
-                let _ = write!(out, "u{x};");
-            }
-            Value::B(x) => out.push_str(if *x { "b1" } else { "b0" }),
-            Value::S(s) => {
-                let _ = write!(out, "s{}:", s.len());
-                out.push_str(s);
-            }
-            Value::L(items) => {
-                let _ = write!(out, "l{}:", items.len());
-                for item in items {
-                    item.encode_into(out);
-                }
-            }
-        }
-    }
-
-    /// The exact text encoding.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Parses an [`encode`](Self::encode)d value back.
-    pub fn decode(text: &str) -> Option<Value> {
-        let mut cursor = Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = cursor.value()?;
-        if cursor.pos == cursor.bytes.len() {
-            Some(v)
-        } else {
-            None
         }
     }
 
@@ -186,103 +109,22 @@ impl Value {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&str> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end]).ok()?;
-        self.pos = end;
-        Some(s)
-    }
-
-    /// Reads decimal digits up to (and consuming) `stop`.
-    fn number_until(&mut self, stop: u8) -> Option<u64> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != stop {
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        self.pos += 1; // the stop byte
-        text.parse().ok()
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let tag = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        match tag {
-            b'f' => {
-                let hex = self.take(16)?;
-                let bits = u64::from_str_radix(hex, 16).ok()?;
-                Some(Value::F(f64::from_bits(bits)))
-            }
-            b'u' => Some(Value::U(self.number_until(b';')?)),
-            b'b' => match *self.bytes.get(self.pos)? {
-                b'0' => {
-                    self.pos += 1;
-                    Some(Value::B(false))
-                }
-                b'1' => {
-                    self.pos += 1;
-                    Some(Value::B(true))
-                }
-                _ => None,
-            },
-            b's' => {
-                let len = self.number_until(b':')? as usize;
-                Some(Value::S(self.take(len)?.to_string()))
-            }
-            b'l' => {
-                let count = self.number_until(b':')? as usize;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.value()?);
-                }
-                Some(Value::L(items))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A cell outcome that can round-trip through the result cache.
-///
-/// `decode(encode(x).roundtrip) == x` must hold bit-exactly — the
-/// sweep engine relies on cache hits being indistinguishable from
-/// fresh runs.
-pub trait Outcome: Sized + Send + 'static {
+/// A cell outcome the sweep can export: each cell's outcome becomes the
+/// `outcome` field of its line in [`SweepRun::outcomes_jsonl`].
+pub trait Outcome: Send + 'static {
     /// Encodes the outcome as a [`Value`].
     fn encode(&self) -> Value;
-
-    /// Decodes an outcome; `None` on shape mismatch (treated as a cache
-    /// miss).
-    fn decode(v: &Value) -> Option<Self>;
 }
 
 impl Outcome for f64 {
     fn encode(&self) -> Value {
         Value::F(*self)
     }
-    fn decode(v: &Value) -> Option<Self> {
-        v.as_f64()
-    }
 }
 
 impl Outcome for String {
     fn encode(&self) -> Value {
         Value::S(self.clone())
-    }
-    fn decode(v: &Value) -> Option<Self> {
-        v.as_str().map(str::to_string)
     }
 }
 
@@ -292,37 +134,6 @@ impl Outcome for Value {
     fn encode(&self) -> Value {
         self.clone()
     }
-    fn decode(v: &Value) -> Option<Self> {
-        Some(v.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cell fingerprint helpers
-// ---------------------------------------------------------------------------
-
-/// Fingerprint of a kernel-backed cell: the booted kernel's content
-/// hash (configuration, SPUs, files, programs, spawn schedule) mixed
-/// with the run's time cap and a harness tag. Bump the tag whenever
-/// the harness changes *how it measures* the run — the kernel hash only
-/// covers what the kernel simulates, not what the harness extracts
-/// from the metrics.
-pub fn kernel_cell_fingerprint(k: &Kernel, cap: SimTime, tag: &str) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(k.fingerprint());
-    cap.fingerprint(&mut h);
-    h.write_str(tag);
-    h.finish()
-}
-
-/// Fingerprint of a cell that is not a kernel run (a standalone device
-/// simulation, a static table): a tag plus whatever inputs `feed`
-/// writes into the hasher.
-pub fn manual_cell_fingerprint(tag: &str, feed: impl FnOnce(&mut Fnv64)) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(tag);
-    feed(&mut h);
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +143,12 @@ pub fn manual_cell_fingerprint(tag: &str, feed: impl FnOnce(&mut Fnv64)) -> u64 
 /// One experiment matrix: a named set of independent cells and a
 /// reduction of their outcomes into a report.
 ///
-/// Implementations must keep three properties the engine builds on:
+/// Implementations must keep two properties the engine builds on:
 ///
 /// 1. **Cell independence** — [`run_cell`](Self::run_cell) reads only
 ///    `self` and the cell; cells may run concurrently in any order.
 /// 2. **Determinism** — equal cells produce equal outcomes (the
 ///    simulations are pure functions of their inputs).
-/// 3. **Honest fingerprints** — [`cell_fingerprint`](Self::cell_fingerprint)
-///    covers every input that can change the outcome, typically by
-///    building the cell's kernel and taking
-///    [`Kernel::fingerprint`](smp_kernel::Kernel::fingerprint) plus any
-///    out-of-kernel parameters.
 pub trait Scenario {
     /// One point of the matrix.
     type Cell: Send + Sync + 'static;
@@ -351,19 +157,16 @@ pub trait Scenario {
     /// The reduced result (usually an existing `*Result` type).
     type Report;
 
-    /// Stable scenario name (also the cache subdirectory).
+    /// Stable scenario name (the `scenario` field of the outcome export).
     fn name(&self) -> &'static str;
 
     /// The cells in their canonical (declared) order. The merge order —
     /// and therefore all rendered output — follows this order exactly.
     fn cells(&self) -> Vec<Self::Cell>;
 
-    /// A short, unique, filesystem-safe key for a cell (e.g.
-    /// `"piso-unbalanced"`).
+    /// A short key for a cell, unique within the scenario (e.g.
+    /// `"piso-unbalanced"`): the `cell` field of the outcome export.
     fn cell_key(&self, cell: &Self::Cell) -> String;
-
-    /// Content hash of everything that determines the cell's outcome.
-    fn cell_fingerprint(&self, cell: &Self::Cell) -> u64;
 
     /// Runs one cell to its outcome.
     fn run_cell(&self, cell: &Self::Cell) -> Self::Outcome;
@@ -389,13 +192,10 @@ pub trait Render {
 pub struct SweepOptions {
     /// Worker threads; 0 or 1 runs serially on the calling thread.
     pub threads: usize,
-    /// Result-cache directory (e.g. `results/.cache`); `None` disables
-    /// caching.
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl SweepOptions {
-    /// Serial, uncached execution (the defaults).
+    /// Serial execution (the default).
     pub fn new() -> Self {
         SweepOptions::default()
     }
@@ -405,29 +205,15 @@ impl SweepOptions {
         self.threads = threads;
         self
     }
-
-    /// Enables the content-addressed result cache under `dir`.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// The conventional on-disk cache location, `results/.cache`.
-    pub fn default_cache() -> PathBuf {
-        PathBuf::from("results/.cache")
-    }
 }
 
-/// Wall-clock and cache accounting for one executed cell.
+/// Wall-clock accounting for one executed cell.
 #[derive(Clone, Debug)]
 pub struct CellStat {
     /// The cell's key.
     pub key: String,
-    /// Wall-clock time spent producing the outcome (simulation or cache
-    /// load).
+    /// Wall-clock time spent simulating the cell.
     pub wall: Duration,
-    /// Whether the outcome came from the cache.
-    pub cached: bool,
 }
 
 /// The product of [`run_scenario`]: the reduced report plus per-cell
@@ -446,7 +232,7 @@ pub struct SweepRun<R> {
 
 impl<R> SweepRun<R> {
     /// Sweep counters through the existing `obsv` registry: total cells,
-    /// cache hits/misses, total and per-cell wall-clock (µs).
+    /// total and per-cell wall-clock (µs).
     pub fn counters(&self) -> CounterRegistry {
         stats_counters(&self.stats)
     }
@@ -454,11 +240,7 @@ impl<R> SweepRun<R> {
     /// The counters as JSONL via the existing exporter
     /// ([`smp_kernel::counters_jsonl`]).
     pub fn counters_jsonl(&self) -> String {
-        let report = ObsvReport {
-            counters: self.counters(),
-            ..ObsvReport::default()
-        };
-        smp_kernel::counters_jsonl(&report)
+        stats_counters_jsonl(&self.stats)
     }
 
     /// Human-readable per-cell timing lines (wall-clock is
@@ -471,14 +253,6 @@ impl<R> SweepRun<R> {
 fn stats_counters(stats: &[CellStat]) -> CounterRegistry {
     let mut c = CounterRegistry::new();
     c.set("sweep.cells", stats.len() as u64);
-    c.set(
-        "sweep.cache_hits",
-        stats.iter().filter(|s| s.cached).count() as u64,
-    );
-    c.set(
-        "sweep.cache_misses",
-        stats.iter().filter(|s| !s.cached).count() as u64,
-    );
     let total: Duration = stats.iter().map(|s| s.wall).sum();
     c.set("sweep.wall_us", total.as_micros() as u64);
     for s in stats {
@@ -490,23 +264,29 @@ fn stats_counters(stats: &[CellStat]) -> CounterRegistry {
     c
 }
 
+fn stats_counters_jsonl(stats: &[CellStat]) -> String {
+    let report = ObsvReport {
+        counters: stats_counters(stats),
+        ..ObsvReport::default()
+    };
+    smp_kernel::counters_jsonl(&report)
+}
+
 fn stats_timing_summary(stats: &[CellStat]) -> String {
     let mut out = String::new();
     let total: Duration = stats.iter().map(|s| s.wall).sum();
     for s in stats {
         out.push_str(&format!(
-            "  {:<28} {:>9.1} ms{}\n",
+            "  {:<28} {:>9.1} ms\n",
             s.key,
-            s.wall.as_secs_f64() * 1e3,
-            if s.cached { "  (cached)" } else { "" }
+            s.wall.as_secs_f64() * 1e3
         ));
     }
     out.push_str(&format!(
-        "  {:<28} {:>9.1} ms  ({} cells, {} cached)\n",
+        "  {:<28} {:>9.1} ms  ({} cells)\n",
         "total",
         total.as_secs_f64() * 1e3,
-        stats.len(),
-        stats.iter().filter(|s| s.cached).count()
+        stats.len()
     ));
     out
 }
@@ -515,91 +295,21 @@ fn stats_timing_summary(stats: &[CellStat]) -> String {
 // The executor
 // ---------------------------------------------------------------------------
 
-/// Replaces every byte outside `[A-Za-z0-9._-]` so a cell key is safe
-/// as a file name.
-fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
+/// A cell's outcome on its way through the worker pool, type-erased so
+/// cells of scenarios with different [`Scenario::Outcome`] types share
+/// one work list. [`AnyScenario::assemble`] downcasts it back.
+pub type AnyOutcome = Box<dyn Any + Send>;
 
-const CACHE_MAGIC: &str = "sweep-cache v1";
+/// One ready-to-run cell: simulates the cell and returns its outcome.
+/// Produced by [`AnyScenario::erased_jobs`], consumed by [`run_pool`].
+pub type ErasedJob<'s> = Box<dyn Fn() -> AnyOutcome + Send + Sync + 's>;
 
-fn cache_path(dir: &Path, scenario: &str, key: &str, fp: u64) -> PathBuf {
-    dir.join(scenario)
-        .join(format!("{}.{fp:016x}.cell", sanitize_key(key)))
-}
-
-fn cache_load<O: Outcome>(path: &Path) -> Option<O> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let body = text.strip_prefix(CACHE_MAGIC)?.strip_prefix('\n')?;
-    O::decode(&Value::decode(body.trim_end_matches('\n'))?)
-}
-
-/// Atomic store: write to a unique temp name, then rename into place.
-/// Concurrent writers of the same cell race benignly — both write the
-/// same bytes.
-fn cache_store(path: &Path, value: &Value) {
-    let Some(parent) = path.parent() else { return };
-    if std::fs::create_dir_all(parent).is_err() {
-        return;
-    }
-    let tmp = parent.join(format!(
-        ".tmp-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let body = format!("{CACHE_MAGIC}\n{}\n", value.encode());
-    if std::fs::write(&tmp, body).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
-}
-
-/// One executed cell in flight through the pool: the outcome, whether
-/// it came from the cache, and the wall-clock spent producing it.
-type Timed<T> = (T, bool, Duration);
-
-fn run_or_load<S: Scenario>(
-    scenario: &S,
-    cell: &S::Cell,
-    key: &str,
-    opts: &SweepOptions,
-) -> (S::Outcome, bool) {
-    if let Some(dir) = &opts.cache_dir {
-        let fp = scenario.cell_fingerprint(cell);
-        let path = cache_path(dir, scenario.name(), key, fp);
-        if let Some(outcome) = cache_load::<S::Outcome>(&path) {
-            return (outcome, true);
-        }
-        let outcome = scenario.run_cell(cell);
-        cache_store(&path, &outcome.encode());
-        (outcome, false)
-    } else {
-        (scenario.run_cell(cell), false)
-    }
-}
-
-/// Executes a scenario under `opts` and reduces it to its report.
-///
-/// Output is byte-identical for any thread count and any cache state:
-/// outcomes merge in declared cell order, cached outcomes round-trip
-/// bit-exactly, and wall-clock only ever lands in [`SweepRun::stats`].
+/// The scenario's cell keys, in declared order.
 ///
 /// # Panics
 ///
-/// Panics if two cells share a key, or if a worker panics (cell
-/// assertion failures propagate).
-pub fn run_scenario<S>(scenario: &S, opts: &SweepOptions) -> SweepRun<S::Report>
-where
-    S: Scenario + Sync,
-{
-    let cells = scenario.cells();
+/// Panics if two cells share a key.
+fn cell_keys<S: Scenario>(scenario: &S, cells: &[S::Cell]) -> Vec<String> {
     let keys: Vec<String> = cells.iter().map(|c| scenario.cell_key(c)).collect();
     for (i, k) in keys.iter().enumerate() {
         assert!(
@@ -608,65 +318,125 @@ where
             scenario.name()
         );
     }
-    let n = cells.len();
-    let threads = opts.threads.clamp(1, n.max(1));
+    keys
+}
 
-    let mut filled: Vec<Timed<S::Outcome>> = if threads <= 1 {
-        cells
-            .iter()
-            .zip(&keys)
-            .map(|(cell, key)| {
-                let start = Instant::now();
-                let (outcome, cached) = run_or_load(scenario, cell, key, opts);
-                (outcome, cached, start.elapsed())
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<Timed<S::Outcome>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    let (outcome, cached) = run_or_load(scenario, &cells[i], &keys[i], opts);
-                    *slots[i].lock().unwrap() = Some((outcome, cached, start.elapsed()));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("worker filled every slot")
-            })
-            .collect()
+/// The scenario's cells as jobs, in declared order. Checks the keys
+/// before any cell runs.
+fn cell_jobs<S: Scenario + Sync>(scenario: &S) -> Vec<ErasedJob<'_>> {
+    let cells = scenario.cells();
+    cell_keys(scenario, &cells);
+    cells
+        .into_iter()
+        .map(|cell| {
+            Box::new(move || Box::new(scenario.run_cell(&cell)) as AnyOutcome) as ErasedJob<'_>
+        })
+        .collect()
+}
+
+/// The worker pool: runs every job on up to `threads` workers and
+/// returns each outcome with its wall-clock, in job order.
+///
+/// A panicking job panics the caller with the job's own payload, once
+/// every worker has stopped.
+fn execute(jobs: &[&ErasedJob<'_>], threads: usize) -> Vec<(AnyOutcome, Duration)> {
+    let timed = |job: &ErasedJob<'_>| {
+        let start = Instant::now();
+        let outcome = job();
+        (outcome, start.elapsed())
     };
+    let n = jobs.len();
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return jobs.iter().map(|job| timed(job)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<(AnyOutcome, Duration)>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, timed(jobs[i])));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("a worker ran every job"))
+        .collect()
+}
 
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
+/// Turns the jobs' results (in declared cell order) into a run: the
+/// one writer of the outcome JSONL, and the reduction.
+fn assemble_run<S: Scenario>(
+    scenario: &S,
+    results: Vec<(AnyOutcome, Duration)>,
+) -> SweepRun<S::Report> {
+    let keys = cell_keys(scenario, &scenario.cells());
+    assert_eq!(
+        results.len(),
+        keys.len(),
+        "scenario {}: one result per cell",
+        scenario.name()
+    );
+    let name = json_escape(scenario.name());
+    let mut outcomes = Vec::with_capacity(keys.len());
+    let mut stats = Vec::with_capacity(keys.len());
     let mut outcomes_jsonl = String::new();
-    let name = scenario.name();
-    for ((outcome, cached, wall), key) in filled.drain(..).zip(keys) {
+    for ((outcome, wall), key) in results.into_iter().zip(keys) {
+        let outcome = *outcome
+            .downcast::<S::Outcome>()
+            .expect("a scenario's jobs return its Outcome type");
         outcomes_jsonl.push_str(&format!(
-            "{{\"scenario\":\"{}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
-            json_escape(name),
+            "{{\"scenario\":\"{name}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
             json_escape(&key),
             outcome.encode().to_json()
         ));
         outcomes.push(outcome);
-        stats.push(CellStat { key, wall, cached });
+        stats.push(CellStat { key, wall });
     }
     SweepRun {
         report: scenario.reduce(outcomes),
         stats,
         outcomes_jsonl,
     }
+}
+
+/// Executes a scenario under `opts` and reduces it to its report: a
+/// one-scenario [`run_pool`] that keeps the report typed.
+///
+/// Output is byte-identical for any thread count: outcomes merge in
+/// declared cell order, and wall-clock only ever lands in
+/// [`SweepRun::stats`].
+///
+/// # Panics
+///
+/// Panics if two cells share a key, or if a cell panics (cell
+/// assertion failures propagate with their own message at any thread
+/// count).
+pub fn run_scenario<S>(scenario: &S, opts: &SweepOptions) -> SweepRun<S::Report>
+where
+    S: Scenario + Sync,
+{
+    let jobs = cell_jobs(scenario);
+    let results = execute(&jobs.iter().collect::<Vec<_>>(), opts.threads);
+    assemble_run(scenario, results)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,6 +459,15 @@ pub struct SweepOutput {
 }
 
 impl SweepOutput {
+    fn rendered<R: Render>(name: &'static str, run: SweepRun<R>) -> SweepOutput {
+        SweepOutput {
+            name,
+            text: run.report.render(),
+            outcomes_jsonl: run.outcomes_jsonl,
+            stats: run.stats,
+        }
+    }
+
     /// Sweep counters through the existing `obsv` registry.
     pub fn counters(&self) -> CounterRegistry {
         stats_counters(&self.stats)
@@ -696,11 +475,7 @@ impl SweepOutput {
 
     /// The counters as JSONL via [`smp_kernel::counters_jsonl`].
     pub fn counters_jsonl(&self) -> String {
-        let report = ObsvReport {
-            counters: self.counters(),
-            ..ObsvReport::default()
-        };
-        smp_kernel::counters_jsonl(&report)
+        stats_counters_jsonl(&self.stats)
     }
 
     /// Human-readable per-cell timing lines.
@@ -708,11 +483,6 @@ impl SweepOutput {
         stats_timing_summary(&self.stats)
     }
 }
-
-/// One type-erased, ready-to-run cell: simulates (or cache-loads) the
-/// cell and returns its encoded outcome plus the cache-hit flag.
-/// Produced by [`AnyScenario::erased_jobs`], consumed by [`run_pool`].
-pub type ErasedJob<'s> = Box<dyn Fn() -> (Value, bool) + Send + Sync + 's>;
 
 /// Object-safe face of [`Scenario`], for heterogeneous scenario lists.
 /// Blanket-implemented for every `Scenario` whose report is
@@ -728,18 +498,16 @@ pub trait AnyScenario: Sync {
     fn run_boxed(&self, opts: &SweepOptions) -> SweepOutput;
 
     /// The scenario's cells as self-contained jobs, in declared order.
-    /// Outcomes cross the type-erasure boundary in their bit-exact
-    /// [`Value`] encoding, so pooled execution stays byte-identical.
     ///
     /// # Panics
     ///
     /// Panics if two cells share a key (same contract as
     /// [`run_scenario`]).
-    fn erased_jobs<'s>(&'s self, opts: &'s SweepOptions) -> Vec<ErasedJob<'s>>;
+    fn erased_jobs(&self) -> Vec<ErasedJob<'_>>;
 
-    /// Rebuilds the full [`SweepOutput`] from the jobs' results, handed
-    /// back in the same declared order.
-    fn assemble(&self, results: Vec<(Value, bool, Duration)>) -> SweepOutput;
+    /// Rebuilds the full [`SweepOutput`] from the jobs' outcomes and
+    /// wall-clock, handed back in the same declared order.
+    fn assemble(&self, results: Vec<(AnyOutcome, Duration)>) -> SweepOutput;
 }
 
 impl<S> AnyScenario for S
@@ -756,67 +524,15 @@ where
     }
 
     fn run_boxed(&self, opts: &SweepOptions) -> SweepOutput {
-        let run = run_scenario(self, opts);
-        SweepOutput {
-            name: self.name(),
-            text: run.report.render(),
-            outcomes_jsonl: run.outcomes_jsonl,
-            stats: run.stats,
-        }
+        SweepOutput::rendered(self.name(), run_scenario(self, opts))
     }
 
-    fn erased_jobs<'s>(&'s self, opts: &'s SweepOptions) -> Vec<ErasedJob<'s>> {
-        let cells = self.cells();
-        let keys: Vec<String> = cells.iter().map(|c| self.cell_key(c)).collect();
-        for (i, k) in keys.iter().enumerate() {
-            assert!(
-                !keys[..i].contains(k),
-                "scenario {}: duplicate cell key {k:?}",
-                self.name()
-            );
-        }
-        cells
-            .into_iter()
-            .zip(keys)
-            .map(|(cell, key)| {
-                Box::new(move || {
-                    let (outcome, cached) = run_or_load(self, &cell, &key, opts);
-                    (outcome.encode(), cached)
-                }) as ErasedJob<'s>
-            })
-            .collect()
+    fn erased_jobs(&self) -> Vec<ErasedJob<'_>> {
+        cell_jobs(self)
     }
 
-    fn assemble(&self, results: Vec<(Value, bool, Duration)>) -> SweepOutput {
-        let keys: Vec<String> = self.cells().iter().map(|c| self.cell_key(c)).collect();
-        assert_eq!(
-            results.len(),
-            keys.len(),
-            "scenario {}: one result per cell",
-            self.name()
-        );
-        let name = self.name();
-        let mut outcomes = Vec::with_capacity(keys.len());
-        let mut stats = Vec::with_capacity(keys.len());
-        let mut outcomes_jsonl = String::new();
-        for ((value, cached, wall), key) in results.into_iter().zip(keys) {
-            outcomes_jsonl.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
-                json_escape(name),
-                json_escape(&key),
-                value.to_json()
-            ));
-            let outcome =
-                S::Outcome::decode(&value).expect("encoded outcomes round-trip (Outcome contract)");
-            outcomes.push(outcome);
-            stats.push(CellStat { key, wall, cached });
-        }
-        SweepOutput {
-            name,
-            text: self.reduce(outcomes).render(),
-            outcomes_jsonl,
-            stats,
-        }
+    fn assemble(&self, results: Vec<(AnyOutcome, Duration)>) -> SweepOutput {
+        SweepOutput::rendered(self.name(), assemble_run(self, results))
     }
 }
 
@@ -826,53 +542,20 @@ where
 /// each scenario in turn with the same options, but without a barrier
 /// between matrices: workers drain a single global work list, so the
 /// wall-clock floor is the longest *cell*, not the longest *matrix*.
-/// Outcomes cross the pool in their bit-exact [`Value`] encoding and
-/// are reassembled per scenario in declared cell order.
+/// Each scenario reassembles its own outcomes in declared cell order.
+///
+/// # Panics
+///
+/// As [`run_scenario`]: on a duplicate cell key in any scenario, or when
+/// a cell panics.
 pub fn run_pool(scenarios: &[Box<dyn AnyScenario>], opts: &SweepOptions) -> Vec<SweepOutput> {
-    let per_scenario: Vec<Vec<ErasedJob>> = scenarios.iter().map(|s| s.erased_jobs(opts)).collect();
+    let per_scenario: Vec<Vec<ErasedJob>> = scenarios.iter().map(|s| s.erased_jobs()).collect();
     let flat: Vec<&ErasedJob> = per_scenario.iter().flatten().collect();
-    let n = flat.len();
-    let threads = opts.threads.clamp(1, n.max(1));
-
-    let timed: Vec<(Value, bool, Duration)> = if threads <= 1 {
-        flat.iter()
-            .map(|job| {
-                let start = Instant::now();
-                let (value, cached) = job();
-                (value, cached, start.elapsed())
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<Timed<Value>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    let (value, cached) = flat[i]();
-                    *slots[i].lock().unwrap() = Some((value, cached, start.elapsed()));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("worker filled every slot")
-            })
-            .collect()
-    };
-
-    let mut timed = timed.into_iter();
+    let mut results = execute(&flat, opts.threads).into_iter();
     scenarios
         .iter()
         .zip(&per_scenario)
-        .map(|(scenario, jobs)| scenario.assemble(timed.by_ref().take(jobs.len()).collect()))
+        .map(|(scenario, jobs)| scenario.assemble(results.by_ref().take(jobs.len()).collect()))
         .collect()
 }
 
@@ -933,60 +616,9 @@ pub fn threads_from_args(args: &[String]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let d = std::env::temp_dir().join(format!(
-            "sweep-test-{}-{}-{}",
-            std::process::id(),
-            tag,
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn value_codec_round_trips_bit_exactly() {
-        let v = Value::list(vec![
-            Value::F(0.1 + 0.2),
-            Value::F(-0.0),
-            Value::F(f64::INFINITY),
-            Value::U(u64::MAX),
-            Value::B(true),
-            Value::S("with:colons;and\nnewlines".into()),
-            Value::L(vec![]),
-        ]);
-        let decoded = Value::decode(&v.encode()).expect("decodes");
-        assert_eq!(decoded, v);
-        match (&decoded, &v) {
-            (Value::L(a), Value::L(b)) => {
-                assert_eq!(
-                    a[1].as_f64().unwrap().to_bits(),
-                    b[1].as_f64().unwrap().to_bits(),
-                    "-0.0 preserved bitwise"
-                );
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn value_decode_rejects_garbage() {
-        assert_eq!(Value::decode(""), None);
-        assert_eq!(Value::decode("x"), None);
-        assert_eq!(Value::decode("f123"), None);
-        assert_eq!(Value::decode("u12;trailing"), None);
-        assert_eq!(Value::decode("s5:ab"), None);
-    }
 
     /// A toy scenario: squares each cell value, reduce = sum.
-    struct Squares {
-        inputs: Vec<u64>,
-        /// Counts actual simulations (not cache hits).
-        runs: AtomicU64,
-    }
+    struct Squares(Vec<u64>);
 
     struct Sum(u64);
 
@@ -1005,16 +637,14 @@ mod tests {
             "squares"
         }
         fn cells(&self) -> Vec<u64> {
-            self.inputs.clone()
+            self.0.clone()
         }
         fn cell_key(&self, cell: &u64) -> String {
             format!("cell{cell}")
         }
-        fn cell_fingerprint(&self, cell: &u64) -> u64 {
-            0x1000 + *cell
-        }
         fn run_cell(&self, cell: &u64) -> f64 {
-            self.runs.fetch_add(1, Ordering::Relaxed);
+            // A harness assert, as in quickstart's `assert!(metrics.completed)`.
+            assert!(*cell != 13, "cell 13 failed its assertion");
             (*cell * *cell) as f64
         }
         fn reduce(&self, outcomes: Vec<f64>) -> Sum {
@@ -1023,10 +653,7 @@ mod tests {
     }
 
     fn squares(inputs: &[u64]) -> Squares {
-        Squares {
-            inputs: inputs.to_vec(),
-            runs: AtomicU64::new(0),
-        }
+        Squares(inputs.to_vec())
     }
 
     #[test]
@@ -1063,108 +690,32 @@ mod tests {
     }
 
     #[test]
-    fn pooled_execution_uses_the_cache() {
-        let dir = temp_dir("pool");
-        let opts = SweepOptions::new().threads(4).cache_dir(&dir);
-        let pool: Vec<Box<dyn AnyScenario>> = vec![Box::new(squares(&[8, 9]))];
-        let first = run_pool(&pool, &opts);
-        assert!(first[0].stats.iter().all(|s| !s.cached));
-        let second = run_pool(&pool, &opts);
-        assert!(second[0].stats.iter().all(|s| s.cached));
-        assert_eq!(first[0].outcomes_jsonl, second[0].outcomes_jsonl);
-        assert_eq!(first[0].text, second[0].text);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cache_hits_skip_simulation_and_preserve_output() {
-        let dir = temp_dir("hits");
-        let s = squares(&[3, 4]);
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let first = run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 2);
-        assert!(first.stats.iter().all(|st| !st.cached));
-        let second = run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 2, "all cells cached");
-        assert!(second.stats.iter().all(|st| st.cached));
-        assert_eq!(second.outcomes_jsonl, first.outcomes_jsonl);
-        assert_eq!(second.report.0, first.report.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn changed_fingerprint_invalidates_only_that_cell() {
-        struct Shifted(Squares, u64);
-        impl Scenario for Shifted {
-            type Cell = u64;
-            type Outcome = f64;
-            type Report = Sum;
-            fn name(&self) -> &'static str {
-                "squares"
-            }
-            fn cells(&self) -> Vec<u64> {
-                self.0.cells()
-            }
-            fn cell_key(&self, cell: &u64) -> String {
-                self.0.cell_key(cell)
-            }
-            fn cell_fingerprint(&self, cell: &u64) -> u64 {
-                // Cell 3's inputs "changed"; others are unchanged.
-                if *cell == 3 {
-                    self.1
-                } else {
-                    self.0.cell_fingerprint(cell)
-                }
-            }
-            fn run_cell(&self, cell: &u64) -> f64 {
-                self.0.run_cell(cell)
-            }
-            fn reduce(&self, outcomes: Vec<f64>) -> Sum {
-                self.0.reduce(outcomes)
+    fn a_panicking_cell_panics_both_executors() {
+        let message = |payload: Box<dyn Any + Send>| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        };
+        for threads in [1, 4] {
+            let opts = SweepOptions::new().threads(threads);
+            let solo = std::panic::catch_unwind(|| {
+                run_scenario(&squares(&[1, 13, 2, 3]), &opts);
+            });
+            let pooled = std::panic::catch_unwind(|| {
+                let pool: Vec<Box<dyn AnyScenario>> =
+                    vec![Box::new(squares(&[1, 2])), Box::new(squares(&[3, 13, 4]))];
+                run_pool(&pool, &opts);
+            });
+            for (executor, result) in [("run_scenario", solo), ("run_pool", pooled)] {
+                let payload = result.expect_err(executor);
+                assert!(
+                    message(payload).contains("cell 13 failed its assertion"),
+                    "{executor} at {threads} threads lost the cell's panic message"
+                );
             }
         }
-
-        let dir = temp_dir("invalidate");
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let s = squares(&[3, 4, 5]);
-        run_scenario(&s, &opts);
-        assert_eq!(s.runs.load(Ordering::Relaxed), 3);
-        let shifted = Shifted(squares(&[3, 4, 5]), 0xdead);
-        let rerun = run_scenario(&shifted, &opts);
-        assert_eq!(
-            shifted.0.runs.load(Ordering::Relaxed),
-            1,
-            "only the changed cell re-simulates"
-        );
-        let by_key: Vec<(bool, &str)> = rerun
-            .stats
-            .iter()
-            .map(|st| (st.cached, st.key.as_str()))
-            .collect();
-        assert_eq!(
-            by_key,
-            vec![(false, "cell3"), (true, "cell4"), (true, "cell5")]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_cache_entries_fall_back_to_simulation() {
-        let dir = temp_dir("corrupt");
-        let opts = SweepOptions::new().cache_dir(&dir);
-        let s = squares(&[9]);
-        run_scenario(&s, &opts);
-        let path = cache_path(&dir, "squares", "cell9", s.cell_fingerprint(&9));
-        std::fs::write(&path, "not a cache entry").unwrap();
-        let again = squares(&[9]);
-        let run = run_scenario(&again, &opts);
-        assert_eq!(again.runs.load(Ordering::Relaxed), 1);
-        assert_eq!(run.report.0, 81);
-        // The corrupt entry was overwritten with a valid one.
-        let third = squares(&[9]);
-        run_scenario(&third, &opts);
-        assert_eq!(third.runs.load(Ordering::Relaxed), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1175,15 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn counters_report_cells_and_cache_activity() {
+    fn counters_report_cells_and_wall_clock() {
         let s = squares(&[1, 2, 3]);
         let run = run_scenario(&s, &SweepOptions::new());
         let c = run.counters();
         assert_eq!(c.get("sweep.cells"), 3);
-        assert_eq!(c.get("sweep.cache_hits"), 0);
-        assert_eq!(c.get("sweep.cache_misses"), 3);
         let jsonl = run.counters_jsonl();
-        assert!(jsonl.contains("sweep.cells"));
+        assert!(jsonl.contains("sweep.cells") && jsonl.contains("sweep.cell.cell2.wall_us"));
         let timing = run.timing_summary();
         assert!(timing.contains("cell1") && timing.contains("total"));
     }
@@ -1195,11 +744,5 @@ mod tests {
         assert_eq!(threads_from_args(&args(&["--threads=8"])), 8);
         assert_eq!(threads_from_args(&args(&["--quick"])), 1);
         assert_eq!(threads_from_args(&args(&["--threads", "bogus"])), 1);
-    }
-
-    #[test]
-    fn sanitize_key_is_fs_safe() {
-        assert_eq!(sanitize_key("a/b c:d"), "a-b-c-d");
-        assert_eq!(sanitize_key("piso_2.jobs-x"), "piso_2.jobs-x");
     }
 }

@@ -14,11 +14,7 @@ use experiments::{ablation, mem_iso, Scale};
 fn check_golden(name: &str, actual: &str) {
     let path = format!("{}/tests/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(format!(
-            "{}/tests/goldens",
-            env!("CARGO_MANIFEST_DIR")
-        ))
-        .unwrap();
+        std::fs::create_dir_all(format!("{}/tests/goldens", env!("CARGO_MANIFEST_DIR"))).unwrap();
         std::fs::write(&path, actual).unwrap();
         return;
     }

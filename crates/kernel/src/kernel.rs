@@ -362,7 +362,7 @@ impl Kernel {
     /// Stable 64-bit digest of the kernel's construction inputs — the
     /// machine configuration, SPU set, and every `create_file` /
     /// `spawn_at` call so far. Two kernels with equal fingerprints run
-    /// identically, so the digest can key a cache of run results. The
+    /// identically, so the digest identifies a run by its inputs. The
     /// hash (FNV-1a) does not depend on pointer values, build, or
     /// platform.
     pub fn fingerprint(&self) -> u64 {
@@ -631,16 +631,6 @@ impl Kernel {
             }
         }
         self.collect_metrics(completed)
-    }
-
-    /// Consumes the kernel, runs to `cap`, and returns the metrics.
-    ///
-    /// The by-value finish path for one-shot drivers like the sweep
-    /// engine: build, configure, and hand off — the kernel's working
-    /// state is dropped as soon as the metrics are extracted, which
-    /// matters when many cells run concurrently.
-    pub fn into_metrics(mut self, cap: SimTime) -> RunMetrics {
-        self.run(cap)
     }
 
     // ----- metrics ---------------------------------------------------------

@@ -299,7 +299,6 @@ impl Process {
     pub fn is_ready(&self) -> bool {
         self.state == ProcState::Ready
     }
-
 }
 
 /// Handle to one process's page table inside the kernel's [`PageArena`].

@@ -98,7 +98,9 @@ impl RefVm {
         if self.capacity - self.total_used < 1 {
             return Err(RefChargeError::Exhausted);
         }
-        if self.enforce && spu != SpuId::KERNEL && self.used[spu.index()] + 1 > self.allowed[spu.index()]
+        if self.enforce
+            && spu != SpuId::KERNEL
+            && self.used[spu.index()] + 1 > self.allowed[spu.index()]
         {
             return Err(RefChargeError::OverAllowed);
         }
@@ -297,18 +299,27 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // outweigh the drains enough that residency reaches the per-SPU
     // allowance and full-memory pressure, so the own-victim, global-
     // victim, and denial paths all run, not just the free-list path.
-    (0u32..21, 0u32..USERS as u32, 0u32..1024, any::<bool>(), 0u32..64).prop_map(
-        |(sel, spu, pick, on, block)| match sel {
+    (
+        0u32..21,
+        0u32..USERS as u32,
+        0u32..1024,
+        any::<bool>(),
+        0u32..64,
+    )
+        .prop_map(|(sel, spu, pick, on, block)| match sel {
             0..=7 => Op::AcquireAnon { spu, pid: pick % 4 },
-            8..=11 => Op::AcquireCache { spu, file: pick % 3, block },
+            8..=11 => Op::AcquireCache {
+                spu,
+                file: pick % 3,
+                block,
+            },
             12..=14 => Op::Touch { pick },
             15 => Op::Pin { pick, on },
             16..=17 => Op::Dirty { pick, on },
             18 => Op::Release { pick },
             19 => Op::Share { pick },
             _ => Op::Exit { pid: pick % 4 },
-        },
-    )
+        })
 }
 
 /// Picks the `pick`-th resident (non-free, non-kernel) frame of the

@@ -109,12 +109,6 @@ impl PacketScheduler {
     }
 }
 
-impl event_sim::Fingerprint for PacketScheduler {
-    fn fingerprint(&self, h: &mut event_sim::Fnv64) {
-        h.write_str(self.label());
-    }
-}
-
 /// Notice that the in-flight packet finishes transmitting at `at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxDone {

@@ -57,7 +57,7 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Short stable label for tables and cache keys.
+    /// Short stable label for tables and cell keys.
     pub fn name(self) -> &'static str {
         match self {
             ArrivalProcess::Poisson { .. } => "poisson",

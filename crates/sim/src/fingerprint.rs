@@ -1,13 +1,12 @@
-//! Stable content fingerprinting for cache keys.
+//! Stable content fingerprinting.
 //!
-//! The sweep engine caches cell outcomes under a *content address*: a
-//! 64-bit FNV-1a hash of everything that determines a simulation's
-//! result — the machine configuration, the spawned program set, seeds
-//! and scales. [`std::hash::Hash`] is unsuitable for this because its
-//! output is not guaranteed stable across Rust releases or processes;
-//! [`Fnv64`] is a fixed algorithm whose digests are valid forever, so
-//! cache entries written by one build are safely readable by the next
-//! unless the hashed content itself changed.
+//! A fingerprint identifies a simulation by its inputs: a 64-bit FNV-1a
+//! hash of everything that determines its result — the machine
+//! configuration, the spawned program set, seeds. [`std::hash::Hash`]
+//! is unsuitable for this because its output is not guaranteed stable
+//! across Rust releases or processes; [`Fnv64`] is a fixed algorithm
+//! whose digests are valid forever, so a digest recorded by one build
+//! can be checked by the next unless the hashed content itself changed.
 
 /// A 64-bit FNV-1a hasher with a stable, process-independent digest.
 ///

@@ -3,22 +3,22 @@
 //! engine, and exports the per-cell outcomes and sweep counters under
 //! `results/`.
 //!
-//! All ten matrices' cells are drained by **one** worker pool
-//! (`sweep::run_pool`), so there is no barrier between matrices. The
-//! output is byte-identical for any `--threads` value and any cache
-//! state; only the timing lines (which go to stdout, never into result
-//! files) vary between runs.
+//! All matrices' cells are drained by **one** worker pool
+//! (`sweep::run_pool`), so there is no barrier between matrices. Every
+//! run simulates every cell, and the output is byte-identical for any
+//! `--threads` value; only the timing lines (which go to stdout, never
+//! into result files) vary between runs.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example paper_tables -- [--quick] [--threads N] [--no-cache]
+//! cargo run --release --example paper_tables -- [--quick] [--threads N]
 //! cargo run --release --example paper_tables -- --quick --compare-threads 4
 //! ```
 //!
 //! `--compare-threads N` is the CI mode: it runs the full matrix twice
-//! (serial, then N workers), both uncached, asserts the outputs are
-//! byte-identical, and prints the measured speedup.
+//! (serial, then N workers), asserts the outputs are byte-identical,
+//! and prints the measured speedup.
 
 use std::time::Instant;
 
@@ -38,10 +38,7 @@ fn main() {
         return;
     }
 
-    let mut opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
-    if !args.iter().any(|a| a == "--no-cache") {
-        opts = opts.cache_dir(SweepOptions::default_cache());
-    }
+    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
 
     let mut outcomes = String::new();
     let mut counters = String::new();
@@ -76,8 +73,8 @@ fn compare_threads(args: &[String]) -> Option<usize> {
     None
 }
 
-/// Runs every scenario serially and then with `threads` workers (both
-/// uncached), asserts byte-identical output, and prints the speedup.
+/// Runs every scenario serially and then with `threads` workers,
+/// asserts byte-identical output, and prints the speedup.
 fn compare(scale: Scale, threads: usize) {
     let run_all = |opts: &SweepOptions| -> (Vec<SweepOutput>, f64) {
         let start = Instant::now();
@@ -85,7 +82,7 @@ fn compare(scale: Scale, threads: usize) {
         (outputs, start.elapsed().as_secs_f64())
     };
 
-    println!("sweep comparison at scale={} (uncached)", scale.label());
+    println!("sweep comparison at scale={}", scale.label());
     let (serial, serial_wall) = run_all(&SweepOptions::new());
     let (parallel, parallel_wall) = run_all(&SweepOptions::new().threads(threads));
 

@@ -20,8 +20,7 @@ use perf_isolation::sim::{SimDuration, SimTime};
 /// victim's and the hog's mean response on the same two-SPU machine.
 struct Quickstart;
 
-/// Builds the machine and job mix for one scheme. Booting is cheap and
-/// deterministic, so the fingerprint can hash the booted kernel itself.
+/// Builds the machine and job mix for one scheme.
 fn boot(scheme: Scheme) -> Kernel {
     let cfg = MachineConfig::builder()
         .topology(2, 32, 1)
@@ -69,10 +68,6 @@ impl Scenario for Quickstart {
 
     fn cell_key(&self, scheme: &Scheme) -> String {
         scheme.label().to_lowercase()
-    }
-
-    fn cell_fingerprint(&self, &scheme: &Scheme) -> u64 {
-        sweep::kernel_cell_fingerprint(&boot(scheme), SimTime::from_secs(60), "quickstart-v1")
     }
 
     fn run_cell(&self, &scheme: &Scheme) -> Value {

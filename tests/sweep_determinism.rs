@@ -1,27 +1,49 @@
 //! Workspace-level guarantees of the sweep engine (the contract DESIGN.md
-//! documents): for every scenario in the registry, parallel execution and
-//! the result cache are invisible in the output — byte for byte.
+//! documents): for every scenario in the registry, parallel and pooled
+//! execution are invisible in the output — byte for byte — and the
+//! serial output matches a committed golden.
 
-use std::path::PathBuf;
-
-use perf_isolation::experiments::net_bw::NetBwScenario;
-use perf_isolation::experiments::scaling::CpuScaleScenario;
-use perf_isolation::experiments::sweep::{
-    all_scenarios, run_pool, run_scenario, Render, SweepOptions,
-};
+use perf_isolation::experiments::sweep::{all_scenarios, run_pool, SweepOptions};
 use perf_isolation::Scale;
 
-/// A fresh per-test scratch directory under the system temp dir.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sweep-int-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// Compares `actual` with the committed golden `tests/goldens/{name}`.
+/// Regenerate with `GOLDEN_REGEN=1 cargo test --test sweep_determinism`,
+/// only for an intentional change to what a scenario simulates or
+/// exports.
+fn check_golden(name: &str, actual: &str) {
+    let dir = format!("{}/tests/goldens", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{dir}/{name}");
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {path}: {e} (run with GOLDEN_REGEN=1)"));
+    if expected != actual {
+        let first = expected
+            .lines()
+            .zip(actual.lines())
+            .enumerate()
+            .find(|(_, (e, a))| e != a)
+            .map(|(i, (e, a))| format!("line {}:\n  golden: {e}\n  actual: {a}", i + 1))
+            .unwrap_or_else(|| {
+                format!(
+                    "the end: golden has {} lines, actual {}",
+                    expected.lines().count(),
+                    actual.lines().count()
+                )
+            });
+        panic!("{name} diverged from golden at {first}");
+    }
 }
 
 #[test]
 fn every_scenario_is_byte_identical_across_thread_counts() {
+    let mut serial_exports = String::new();
     for scenario in all_scenarios(Scale::Quick) {
         let serial = scenario.run_boxed(&SweepOptions::new());
+        serial_exports.push_str(&serial.outcomes_jsonl);
         assert_eq!(
             serial.stats.len(),
             scenario.cell_count(),
@@ -42,6 +64,9 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
             );
         }
     }
+    // Thread-count agreement alone would not notice a change that moves
+    // every run alike; the golden pins the values across commits.
+    check_golden("sweep_outcomes_quick.jsonl", &serial_exports);
 }
 
 #[test]
@@ -68,64 +93,4 @@ fn pooled_execution_is_byte_identical_to_per_scenario_runs() {
             );
         }
     }
-}
-
-#[test]
-fn cpu_scale_cache_round_trip_is_invisible() {
-    // The cpu-scale scenario is deliberately not in `all_scenarios`
-    // (the paper-tables golden predates it), so it gets its own cache
-    // and thread-count coverage here.
-    let dir = temp_dir("cpu-scale");
-    let scenario = CpuScaleScenario::capped(Scale::Quick, 32);
-    let opts = SweepOptions::new().cache_dir(&dir);
-    let first = run_scenario(&scenario, &opts);
-    assert!(first.stats.iter().all(|s| !s.cached));
-    let second = run_scenario(&scenario, &opts.clone().threads(4));
-    assert!(
-        second.stats.iter().all(|s| s.cached),
-        "second run must hit on every cell"
-    );
-    assert_eq!(first.outcomes_jsonl, second.outcomes_jsonl);
-    assert_eq!(first.report.render(), second.report.render());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_round_trip_is_invisible_and_scale_invalidates() {
-    let dir = temp_dir("cache");
-    let quick = NetBwScenario {
-        scale: Scale::Quick,
-    };
-    let opts = SweepOptions::new().cache_dir(&dir);
-
-    let first = run_scenario(&quick, &opts);
-    assert!(
-        first.stats.iter().all(|s| !s.cached),
-        "first run must miss an empty cache"
-    );
-    let second = run_scenario(&quick, &opts);
-    assert!(
-        second.stats.iter().all(|s| s.cached),
-        "second run must hit on every cell"
-    );
-    assert_eq!(first.outcomes_jsonl, second.outcomes_jsonl);
-    assert_eq!(
-        first.report.format(),
-        second.report.format(),
-        "cached outcomes must render identically"
-    );
-
-    // Same cell keys, different fingerprints: the full-scale variant
-    // must ignore the quick-scale entries.
-    let full = NetBwScenario { scale: Scale::Full };
-    let third = run_scenario(&full, &opts);
-    assert!(
-        third.stats.iter().all(|s| !s.cached),
-        "changed scale must invalidate every cell"
-    );
-    let fourth = run_scenario(&full, &opts);
-    assert!(fourth.stats.iter().all(|s| s.cached));
-    assert_eq!(third.outcomes_jsonl, fourth.outcomes_jsonl);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
