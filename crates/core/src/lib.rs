@@ -24,20 +24,18 @@
 //!   flat SPU set (multi-tenant consolidation; depth-1 ≡ flat).
 //! * [`resource`] — resource kinds and the three-level accounting record.
 //! * [`ledger`] — per-SPU countable-resource accounting with isolation
-//!   enforcement (memory pages).
+//!   enforcement (memory pages), flat or sharded per CPU.
 //! * [`scheme`] — the three allocation schemes compared throughout the
-//!   paper: `SMP`, `Quota`, `PIso` (Table 2).
+//!   paper: `SMP`, `Quota`, `PIso` (Table 2). They differ only in
+//!   whether a charge past `allowed` is refused
+//!   ([`Scheme::enforces_isolation`]) and in whether idle units are lent
+//!   ([`Scheme::lend_idle`], the §3.2 redistribution with the Reserve
+//!   Threshold, tenant-first on an [`SpuTree`]).
 //! * [`shed`] — the load-shedding policy an SPU's admission queue
 //!   applies under open-loop overload.
-//! * [`manager`] — the unified resource-management layer: the
-//!   [`SharingPolicy`] contract (`entitle`/`lend_idle`/`revoke`/
-//!   `charge`/`audit`) the three schemes implement once for every
-//!   resource, and the [`ResourceManager`] accounting surface the
-//!   observability layer iterates generically.
+//! * [`audit`] — the ledger invariant auditor.
 //! * [`cpu_policy`] — the hybrid space/time CPU partition and the
 //!   proportional-share rotor for fractionally-shared CPUs (§3.1).
-//! * [`mem_policy`] — idle-page redistribution with the Reserve Threshold
-//!   (§3.2).
 //! * [`disk_policy`] — decayed sectors-per-second accounting and the
 //!   bandwidth-difference fairness criterion (§3.3).
 //!
@@ -59,8 +57,6 @@ pub mod cpu_policy;
 pub mod disk_policy;
 pub mod hierarchy;
 pub mod ledger;
-pub mod manager;
-pub mod mem_policy;
 pub mod resource;
 pub mod scheme;
 pub mod shed;
@@ -71,12 +67,7 @@ pub use cpu_policy::{CpuAssignment, CpuPartition, SharedCpuRotor};
 pub use disk_policy::BandwidthTracker;
 pub use hierarchy::{SpuTree, Tenant};
 pub use ledger::{ChargeError, ResourceLedger, ShardedLedger};
-pub use manager::{
-    LedgerManager, LevelSnapshot, PIsoSharing, PolicyInput, QuotaSharing, ResourceManager,
-    SharingPolicy, SmpSharing,
-};
-pub use mem_policy::{MemPolicyInput, MemSharingPolicy};
 pub use resource::{ResourceKind, ResourceLevels};
-pub use scheme::Scheme;
+pub use scheme::{PolicyInput, Scheme};
 pub use shed::ShedPolicy;
 pub use spu::{SpuId, SpuKind, SpuSet};

@@ -3,8 +3,8 @@
 use event_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use spu_core::{
-    BandwidthTracker, CpuAssignment, CpuPartition, MemPolicyInput, MemSharingPolicy,
-    ResourceLedger, ResourceLevels, ShardedLedger, SharedCpuRotor, SpuId, SpuSet,
+    BandwidthTracker, CpuAssignment, CpuPartition, PolicyInput, ResourceLedger, ResourceLevels,
+    Scheme, ShardedLedger, SharedCpuRotor, SpuId, SpuSet,
 };
 
 proptest! {
@@ -153,21 +153,21 @@ proptest! {
         prop_assert_eq!(sharded.global().snapshot(), mirror.snapshot());
     }
 
-    /// The memory policy never lends below entitlement and never lends
-    /// more than the idle pool minus the reserve.
+    /// PIso lending never lowers an SPU below its entitlement and never
+    /// lends more than the idle pool minus the Reserve Threshold.
     #[test]
-    fn mem_policy_bounds(
+    fn lend_idle_bounds(
         user_pages in 100u64..100_000,
-        reserve in 0.0f64..0.5,
+        reserve_frac in 0.0f64..0.5,
         usage in prop::collection::vec((0.0f64..1.5, any::<bool>()), 1..8),
     ) {
-        let policy = MemSharingPolicy::new(reserve);
+        let reserve = (user_pages as f64 * reserve_frac).round() as u64;
         let n = usage.len() as u64;
         let entitled = user_pages / n;
-        let inputs: Vec<MemPolicyInput> = usage
+        let inputs: Vec<PolicyInput> = usage
             .iter()
             .enumerate()
-            .map(|(i, &(frac, pressured))| MemPolicyInput {
+            .map(|(i, &(frac, pressured))| PolicyInput {
                 spu: SpuId::user(i as u32),
                 levels: ResourceLevels {
                     entitled,
@@ -177,7 +177,7 @@ proptest! {
                 pressured,
             })
             .collect();
-        let out = policy.rebalance(user_pages, &inputs);
+        let out = Scheme::PIso.lend_idle(user_pages, reserve, &inputs, None);
         let mut borrowed_total = 0u64;
         for ((_, allowed), input) in out.iter().zip(&inputs) {
             prop_assert!(*allowed >= input.levels.entitled, "allowed below entitled");
@@ -186,7 +186,7 @@ proptest! {
         let idle: u64 = inputs.iter().map(|i| i.levels.idle()).sum::<u64>()
             + user_pages.saturating_sub(entitled * n);
         prop_assert!(
-            borrowed_total <= idle.saturating_sub(policy.reserve_pages(user_pages)),
+            borrowed_total <= idle.saturating_sub(reserve),
             "lent {borrowed_total} exceeds idle {idle} minus reserve"
         );
     }

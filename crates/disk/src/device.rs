@@ -106,9 +106,6 @@ pub struct DiskDevice {
     /// Recorded `(waiter, holder, wait)` tuples awaiting
     /// [`drain_queue_waits`](Self::drain_queue_waits).
     queue_waits: Vec<(SpuId, SpuId, SimDuration)>,
-    /// Reusable eligibility scratch for the Hybrid scheduler, so each
-    /// scheduling decision allocates nothing.
-    pick_scratch: Vec<bool>,
 }
 
 impl DiskDevice {
@@ -130,7 +127,6 @@ impl DiskDevice {
             record_queue_waits: false,
             last_stream: None,
             queue_waits: Vec::new(),
-            pick_scratch: Vec::new(),
         }
     }
 
@@ -296,7 +292,6 @@ impl DiskDevice {
             &mut self.bw,
             self.bw_threshold,
             now,
-            &mut self.pick_scratch,
         )?;
         let pending = self.queue.swap_remove(idx);
         let mut breakdown =
@@ -347,48 +342,6 @@ impl DiskDevice {
     /// tracing).
     pub fn in_flight_breakdown(&self) -> Option<&ServiceBreakdown> {
         self.in_flight.as_ref().map(|f| &f.breakdown)
-    }
-}
-
-/// A lone disk is a self-contained bandwidth manager: its decayed sector
-/// counts are the `used` levels, the fair split of the decayed total by
-/// share weight is the entitlement, and `allowed` tops out at actual
-/// usage because the §3.3 scheduler throttles rather than reserves.
-impl spu_core::ResourceManager for DiskDevice {
-    type Ctx = ();
-
-    fn kind(&self) -> spu_core::ResourceKind {
-        spu_core::ResourceKind::DiskBandwidth
-    }
-
-    fn sample(
-        &mut self,
-        _ctx: &mut (),
-        users: usize,
-        now: SimTime,
-    ) -> Vec<spu_core::LevelSnapshot> {
-        self.bw.decay_to(now);
-        let used: Vec<f64> = (0..users)
-            .map(|u| self.bw.count(SpuId::user(u as u32)))
-            .collect();
-        let total: f64 = used.iter().sum();
-        let weight_sum: f64 = (0..users)
-            .map(|u| self.bw.share(SpuId::user(u as u32)))
-            .sum();
-        (0..users)
-            .map(|u| {
-                let entitled = if weight_sum > 0.0 {
-                    total * self.bw.share(SpuId::user(u as u32)) / weight_sum
-                } else {
-                    0.0
-                };
-                spu_core::LevelSnapshot {
-                    entitled,
-                    allowed: entitled.max(used[u]),
-                    used: used[u],
-                }
-            })
-            .collect()
     }
 }
 
@@ -614,31 +567,5 @@ mod tests {
         let (_, c2) = d.complete(c1.at);
         d.complete(c2.unwrap().at);
         assert!(d.drain_queue_waits().is_empty());
-    }
-
-    #[test]
-    fn disk_is_a_disk_bandwidth_resource_manager() {
-        use spu_core::ResourceManager;
-
-        let mut d = DiskDevice::new(DiskModel::hp97560(), SchedulerKind::Hybrid, 4);
-        assert_eq!(d.kind(), spu_core::ResourceKind::DiskBandwidth);
-        let mut completion = d.submit(read(SpuId::user(0), 1000), SimTime::ZERO);
-        let mut end = SimTime::ZERO;
-        while let Some(c) = completion {
-            end = c.at;
-            completion = d.complete(c.at).1;
-        }
-
-        let snaps = d.sample(&mut (), 2, end);
-        assert_eq!(snaps.len(), 2);
-        assert!(snaps[0].used > 0.0, "transferred sectors must show as used");
-        assert_eq!(snaps[1].used, 0.0);
-        // Equal shares: the decayed total splits evenly into entitlements,
-        // and the busy stream's allowed level tops out at its usage.
-        assert!((snaps[0].entitled - snaps[1].entitled).abs() < 1e-9);
-        assert!((snaps[0].allowed - snaps[0].used).abs() < 1e-9);
-        for s in &snaps {
-            assert!(s.used <= s.allowed + 1e-9);
-        }
     }
 }

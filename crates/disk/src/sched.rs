@@ -11,7 +11,7 @@
 //!   criterion.
 
 use event_sim::SimTime;
-use spu_core::{BandwidthTracker, SpuId};
+use spu_core::BandwidthTracker;
 
 use crate::model::DiskModel;
 use crate::request::DiskRequest;
@@ -74,7 +74,6 @@ pub(crate) fn pick_next(
     bw: &mut BandwidthTracker,
     bw_threshold: f64,
     now: SimTime,
-    pass: &mut Vec<bool>,
 ) -> Option<usize> {
     if queue.is_empty() {
         return None;
@@ -94,21 +93,23 @@ pub(crate) fn pick_next(
             // Shared-SPU requests have the lowest priority: they are only
             // eligible when no user request is queued.
             let any_user = queue.iter().any(|p| p.req.stream.is_user());
-            // An SPU failing the fairness criterion is denied access while
-            // other SPUs have queued requests. Verdicts land in the
-            // device's reusable scratch buffer — this runs per service
-            // start, and a pair of fresh Vecs here dominated the disk
-            // model's cost in paging-heavy runs.
-            let mut eligible = |stream: SpuId| -> bool {
-                if any_user && !stream.is_user() {
-                    return false;
+            // An SPU failing the fairness criterion (§3.3) is denied
+            // access while other SPUs have queued requests. One decay and
+            // one average serve every verdict: decay advances in whole
+            // half-life steps, so calling it again at the same instant
+            // would change nothing.
+            bw.decay_to(now);
+            let limit = bw.average_normalized() + bw_threshold;
+            let tracker = &*bw;
+            let eligible = |i: usize| -> bool {
+                let stream = queue[i].req.stream;
+                if !stream.is_user() {
+                    return !any_user;
                 }
-                !bw.fails_fairness(stream, bw_threshold, now)
+                tracker.normalized_usage(stream) <= limit
             };
-            pass.clear();
-            pass.extend(queue.iter().map(|p| eligible(p.req.stream)));
-            if pass.iter().any(|&p| p) {
-                cscan_pick(queue, model, head_cyl, |i| pass[i])
+            if (0..queue.len()).any(eligible) {
+                cscan_pick(queue, model, head_cyl, eligible)
             } else if any_user {
                 // Every queued user SPU fails (or only failing SPUs have
                 // requests): fall back to fairness order among them so the
@@ -177,6 +178,7 @@ mod tests {
     use super::*;
     use crate::request::RequestKind;
     use event_sim::SimDuration;
+    use spu_core::SpuId;
 
     fn pending(seq: u64, stream: SpuId, start: u64) -> Pending {
         Pending {
@@ -213,7 +215,6 @@ mod tests {
                 bw,
                 64.0,
                 SimTime::ZERO,
-                &mut Vec::new(),
             )
             .unwrap()
         };
@@ -238,7 +239,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(i, 1, "earlier submission wins the tie");
@@ -261,7 +261,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(i, 1, "fairness ignores head position");
@@ -285,7 +284,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(i, 2, "hog denied; C-SCAN among the passing SPU's requests");
@@ -307,7 +305,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         );
         assert_eq!(i, Some(0));
     }
@@ -328,7 +325,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         )
         .unwrap();
         assert_eq!(
@@ -345,7 +341,6 @@ mod tests {
             &mut bw,
             64.0,
             SimTime::ZERO,
-            &mut Vec::new(),
         );
         assert_eq!(i, Some(0));
     }
@@ -356,16 +351,7 @@ mod tests {
         let mut bw = tracker();
         for kind in SchedulerKind::ALL {
             assert_eq!(
-                pick_next(
-                    kind,
-                    &[],
-                    &model,
-                    0,
-                    &mut bw,
-                    64.0,
-                    SimTime::ZERO,
-                    &mut Vec::new()
-                ),
+                pick_next(kind, &[], &model, 0, &mut bw, 64.0, SimTime::ZERO),
                 None
             );
         }

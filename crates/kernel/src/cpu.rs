@@ -14,15 +14,6 @@ use crate::process::{BlockReason, MicroOp, Pid, ProcState};
 use crate::program::Program;
 use crate::trace::TraceEvent;
 
-/// Scheduler event tallies published as `sched.*` counters.
-#[derive(Debug, Default)]
-pub(crate) struct SchedCounters {
-    pub(crate) dispatches: u64,
-    pub(crate) preemptions: u64,
-    pub(crate) loans: u64,
-    pub(crate) ipis: u64,
-}
-
 impl Kernel {
     /// Marks a process runnable and dispatches it on an idle CPU if the
     /// scheme permits.
@@ -100,9 +91,9 @@ impl Kernel {
             spu,
             loaned,
         });
-        self.sched_counts.dispatches += 1;
+        self.counters.add_id(self.counter_ids.sched_dispatches, 1);
         if loaned {
-            self.sched_counts.loans += 1;
+            self.counters.add_id(self.counter_ids.sched_loans, 1);
         }
         if let Some(woke) = self.wake_pending.remove(&pid) {
             self.latency
@@ -115,7 +106,7 @@ impl Kernel {
 
     /// Records a recovered kernel error (bounded sample + counter).
     pub(crate) fn report_error(&mut self, e: KernelError) {
-        self.error_count += 1;
+        self.counters.add_id(self.counter_ids.kernel_errors, 1);
         if self.errors.len() < 64 {
             self.errors.push(e);
         }
@@ -185,7 +176,7 @@ impl Kernel {
             cpu,
             pid,
         });
-        self.sched_counts.preemptions += 1;
+        self.counters.add_id(self.counter_ids.sched_preemptions, 1);
         let p = self.procs.get_mut(pid);
         // A preempted process is necessarily inside a Cpu burst: every
         // other micro-op resolves synchronously during interpret.
@@ -379,20 +370,12 @@ impl Kernel {
                     let holder_spu = self.procs.get(pid).spu;
                     if let Some(attr) = &mut self.attribution {
                         attr.lock_released(pid, holder_spu, lock, self.now);
-                    }
-                    if self.attribution.is_some() {
                         // Charge everyone still queued for the hold
                         // segment that just ended.
-                        let mut queued = std::mem::take(&mut self.lock_waiter_scratch);
-                        debug_assert!(queued.is_empty());
-                        self.locks.for_each_waiter(lock, |p| queued.push(p));
-                        for &p in &queued {
-                            let waiter_spu = self.procs.get(p).spu;
-                            let attr = self.attribution.as_mut().expect("checked above");
-                            attr.lock_still_waiting(p, waiter_spu, lock, holder_spu, self.now);
-                        }
-                        queued.clear();
-                        self.lock_waiter_scratch = queued;
+                        let (procs, now) = (&self.procs, self.now);
+                        self.locks.for_each_waiter(lock, |p| {
+                            attr.lock_still_waiting(p, procs.get(p).spu, lock, holder_spu, now);
+                        });
                     }
                     for w in woken {
                         if let Some(attr) = self.attribution.as_mut() {

@@ -79,7 +79,7 @@ impl Kernel {
             }
             Event::Ipi => {
                 self.ipi_pending = false;
-                self.sched_counts.ipis += 1;
+                self.counters.add_id(self.counter_ids.sched_ipis, 1);
                 // Live sweep over the loaned list (see `on_tick`).
                 let mut cpu = 0;
                 while let Some(c) = self.sched.next_loaned_cpu(cpu) {

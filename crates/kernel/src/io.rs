@@ -397,7 +397,7 @@ impl Kernel {
             }
         }
         if done.failed {
-            self.fault_counts.disk_errors += 1;
+            self.counters.add_id(self.counter_ids.fault_disk_errors, 1);
             self.handle_io_error(disk, done.req);
             return;
         }
@@ -475,7 +475,7 @@ impl Kernel {
         let attempts = entry.attempts;
         let elapsed = self.now.saturating_since(entry.first_error);
         if attempts <= max_retries && elapsed < timeout {
-            self.fault_counts.io_retries += 1;
+            self.counters.add_id(self.counter_ids.fault_io_retries, 1);
             let delay = backoff_delay(attempts - 1, base, cap);
             self.events.schedule(
                 self.now + delay,
@@ -486,7 +486,7 @@ impl Kernel {
             );
         } else {
             self.retries.remove(&req.tag);
-            self.fault_counts.io_failures += 1;
+            self.counters.add_id(self.counter_ids.fault_io_failures, 1);
             self.fail_io(req);
         }
     }

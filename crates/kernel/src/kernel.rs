@@ -6,8 +6,8 @@
 //! from a single deterministic event queue. The subsystems live in
 //! private sibling modules — `event` (dispatch), `cpu` (scheduling and
 //! the interpreter), `mem` (the fault path), `io` (the file-I/O path
-//! and disk plumbing) and `policy` (the resource manager registry,
-//! sampling, auditing, faults) — all implemented as
+//! and disk plumbing) and `policy` (sampling, auditing, faults) — all
+//! implemented as
 //! `impl Kernel` blocks over the state held here. Workloads are attached
 //! with [`Kernel::spawn_at`] and the run is driven to completion with
 //! [`Kernel::run`], which returns the [`RunMetrics`] the experiment
@@ -20,11 +20,10 @@ use std::sync::Arc;
 
 use event_sim::{EventQueue, Fingerprint, Fnv64, LogHistogram, SimDuration, SimTime};
 use hp_disk::{DiskDevice, DiskModel};
-use spu_core::{CpuPartition, LedgerAuditor, ResourceManager, SpuId, SpuSet};
+use spu_core::{CpuPartition, LedgerAuditor, SpuId, SpuSet};
 
 use crate::bufcache::BufferCache;
 use crate::config::MachineConfig;
-use crate::cpu::SchedCounters;
 use crate::error::KernelError;
 use crate::event::Event;
 use crate::fs::{FileId, FileSystem};
@@ -33,7 +32,6 @@ use crate::locks::LockTable;
 use crate::metrics::{JobRecord, RunMetrics};
 use crate::obsv::interference::{nearest_rank, Attribution, SloReport, SloSample, SpuSlo};
 use crate::obsv::{CounterId, CounterRegistry, LatencyStats, ObsvReport, SampleSeries};
-use crate::policy::FaultCounters;
 use crate::process::{BlockReason, JobId, Pid, ProcState, Process};
 use crate::program::{BarrierId, Program};
 use crate::sched::{ProcTable, Scheduler};
@@ -93,17 +91,11 @@ pub struct Kernel {
     /// only when `cfg.tuning.admission_cap > 0`.
     pub(crate) admission: Vec<crate::admission::AdmissionQueue>,
     pub(crate) spu_cpu: Vec<SimDuration>,
-    // --- resource management ----------------------------------------------
-    /// One [`ResourceManager`] per managed resource, in the fixed
-    /// registry order (CPU time, memory, disk bandwidth) the sample
-    /// series are laid out in. Samplers and auditors iterate this —
-    /// never a per-resource `match`.
-    pub(crate) managers: Vec<Box<dyn ResourceManager<Ctx = Kernel> + Send + Sync>>,
     // --- observability ----------------------------------------------------
     /// Sampling interval, `None` until [`enable_sampling`](Self::enable_sampling).
     pub(crate) sample_interval: Option<SimDuration>,
-    /// Per-SPU resource series, SPU-major, manager-registry order
-    /// within an SPU.
+    /// Per-SPU resource series, SPU-major, in
+    /// [`SAMPLED`](crate::policy::SAMPLED) order within an SPU.
     pub(crate) series: Vec<SampleSeries>,
     /// Each user SPU's CPU entitlement from the §3.1 hybrid partition.
     pub(crate) cpu_entitled: Vec<f64>,
@@ -113,7 +105,6 @@ pub struct Kernel {
     pub(crate) wake_pending: FastMap<Pid, SimTime>,
     /// Per-CPU time a revocation became needed (cleared at deschedule).
     pub(crate) revoke_requested: Vec<Option<SimTime>>,
-    pub(crate) sched_counts: SchedCounters,
     /// Cross-SPU interference attribution, `None` until
     /// [`enable_attribution`](Self::enable_attribution).
     pub(crate) attribution: Option<Attribution>,
@@ -128,13 +119,8 @@ pub struct Kernel {
     pub(crate) retries: FastMap<u64, RetryState>,
     /// Bounded sample of recovered kernel errors ([`Kernel::errors`]).
     pub(crate) errors: Vec<KernelError>,
-    /// Total recovered kernel errors (the `kernel.errors` counter).
-    pub(crate) error_count: u64,
     /// Conservation-invariant auditor over the memory ledger.
     pub(crate) auditor: LedgerAuditor,
-    pub(crate) fault_counts: FaultCounters,
-    /// CPU-partition conservation failures seen by `rebalance_cpus`.
-    pub(crate) cpu_audit_violations: u64,
     /// Denial total at the last audit, for memory-pressure detection.
     pub(crate) last_denials: u64,
     // --- hot-path scratch pools --------------------------------------------
@@ -150,18 +136,20 @@ pub struct Kernel {
     pub(crate) page_arena: crate::process::PageArena,
     /// Scratch `(swap slot, frame)` buffer for `do_touch`'s fault batch.
     pub(crate) swapin_scratch: Vec<(u64, crate::vm::FrameId)>,
-    /// Scratch waiter list for `LockRelease` attribution charging, so
-    /// instrumented runs don't allocate per release.
-    pub(crate) lock_waiter_scratch: Vec<crate::process::Pid>,
     /// Stable content hash of everything that determines the run:
     /// configuration, SPU set, files, spawned programs. Because the
     /// simulation is a pure function of these inputs, the digest
     /// identifies the run's outcome (see [`Kernel::fingerprint`]).
     pub(crate) fp: Fnv64,
     /// Every published counter name interned once at boot (including the
-    /// per-disk `disk.{i}.*` names), so metric collection is dense-id
-    /// stores with no string hashing or formatting.
+    /// per-disk `disk.{i}.*` names), so counting is a dense-id add with
+    /// no string hashing or formatting.
     pub(crate) counter_ids: KernelCounterIds,
+    /// The one store of every counter the kernel increments as events
+    /// happen (scheduler, fault, error and CPU-audit counts);
+    /// [`publish_counters`](Self::publish_counters) adds the values it
+    /// derives from subsystem state.
+    pub(crate) counters: CounterRegistry,
 }
 
 /// Lowercases a display name and maps anything outside `[a-z0-9_]` to
@@ -180,18 +168,17 @@ fn counter_segment(name: &str) -> String {
         .collect()
 }
 
-/// Dense [`CounterId`]s for every counter the kernel publishes, plus the
-/// prototype registry they were interned into. Built once at boot;
-/// [`Kernel::publish_counters`] clones the prototype (an `Arc` bump for
+/// Dense [`CounterId`]s for every counter the kernel publishes, interned
+/// once at boot into the kernel's [`CounterRegistry`].
+/// [`Kernel::publish_counters`] clones that registry (an `Arc` bump for
 /// the shared name table plus one `memcpy` of the value vector) and
-/// fills it by id.
+/// fills in the derived values by id.
 #[derive(Debug)]
 pub(crate) struct KernelCounterIds {
-    proto: CounterRegistry,
-    sched_dispatches: CounterId,
-    sched_preemptions: CounterId,
-    sched_loans: CounterId,
-    sched_ipis: CounterId,
+    pub(crate) sched_dispatches: CounterId,
+    pub(crate) sched_preemptions: CounterId,
+    pub(crate) sched_loans: CounterId,
+    pub(crate) sched_ipis: CounterId,
     locks_acquires: CounterId,
     locks_contended: CounterId,
     cache_hits: CounterId,
@@ -204,25 +191,24 @@ pub(crate) struct KernelCounterIds {
     vm_denials: CounterId,
     /// `(requests, errors)` per disk index.
     disk: Vec<(CounterId, CounterId)>,
-    kernel_errors: CounterId,
+    pub(crate) kernel_errors: CounterId,
     audit_checks: CounterId,
-    audit_violations: CounterId,
-    fault_injected: CounterId,
-    fault_skipped: CounterId,
-    fault_crashes: CounterId,
-    fault_forkbombs: CounterId,
-    fault_cpu_offline: CounterId,
-    fault_cpu_online: CounterId,
-    fault_disk_errors: CounterId,
-    fault_io_retries: CounterId,
-    fault_io_failures: CounterId,
-    fault_retry_storms: CounterId,
+    pub(crate) audit_violations: CounterId,
+    pub(crate) fault_injected: CounterId,
+    pub(crate) fault_skipped: CounterId,
+    pub(crate) fault_crashes: CounterId,
+    pub(crate) fault_forkbombs: CounterId,
+    pub(crate) fault_cpu_offline: CounterId,
+    pub(crate) fault_cpu_online: CounterId,
+    pub(crate) fault_disk_errors: CounterId,
+    pub(crate) fault_io_retries: CounterId,
+    pub(crate) fault_io_failures: CounterId,
+    pub(crate) fault_retry_storms: CounterId,
     trace_dropped: CounterId,
 }
 
 impl KernelCounterIds {
-    fn new(disk_count: usize) -> Self {
-        let mut proto = CounterRegistry::new();
+    fn new(proto: &mut CounterRegistry, disk_count: usize) -> Self {
         KernelCounterIds {
             sched_dispatches: proto.intern("sched.dispatches"),
             sched_preemptions: proto.intern("sched.preemptions"),
@@ -260,7 +246,6 @@ impl KernelCounterIds {
             fault_io_failures: proto.intern("fault.io_failures"),
             fault_retry_storms: proto.intern("fault.retry_storms"),
             trace_dropped: proto.intern("trace.dropped"),
-            proto,
         }
     }
 }
@@ -304,6 +289,8 @@ impl Kernel {
         let mut fp = Fnv64::new();
         cfg.fingerprint(&mut fp);
         spus.fingerprint(&mut fp);
+        let mut counters = CounterRegistry::new();
+        let counter_ids = KernelCounterIds::new(&mut counters, disk_count);
         Kernel {
             spus,
             now: SimTime::ZERO,
@@ -330,31 +317,26 @@ impl Kernel {
                 .map(|_| crate::admission::AdmissionQueue::default())
                 .collect(),
             spu_cpu: vec![SimDuration::ZERO; n_spus],
-            managers: crate::policy::kernel_managers(),
             sample_interval: None,
             series: Vec::new(),
             cpu_entitled: Vec::new(),
             latency: LatencyStats::new(),
             wake_pending: FastMap::default(),
             revoke_requested: vec![None; cfg.cpus],
-            sched_counts: SchedCounters::default(),
             attribution: None,
             slo_target: None,
             slo_samples: Vec::new(),
             retries: FastMap::default(),
             errors: Vec::new(),
-            error_count: 0,
             auditor: LedgerAuditor::new(n_spus, cfg.tuning.mem_policy_period.mul_f64(3.0)),
-            fault_counts: FaultCounters::default(),
-            cpu_audit_violations: 0,
             last_denials: 0,
             frame_vec_pool: Vec::new(),
             micro_pool: Vec::new(),
             page_arena: crate::process::PageArena::new(),
             swapin_scratch: Vec::new(),
-            lock_waiter_scratch: Vec::new(),
             fp,
-            counter_ids: KernelCounterIds::new(disk_count),
+            counter_ids,
+            counters,
             cfg,
         }
     }
@@ -440,7 +422,7 @@ impl Kernel {
         self.series = self
             .spus
             .user_ids()
-            .flat_map(|id| self.managers.iter().map(move |m| (id, m.kind())))
+            .flat_map(|id| crate::policy::SAMPLED.map(|r| (id, r)))
             .map(|(id, r)| SampleSeries::new(id, self.spus.path(id), r))
             .collect();
     }
@@ -636,17 +618,13 @@ impl Kernel {
     // ----- metrics ---------------------------------------------------------
 
     /// Publishes every subsystem's counters into one registry
-    /// (deterministic name order; see [`CounterRegistry`]). All names
-    /// were interned at boot ([`KernelCounterIds`]), so this is a clone
-    /// of the prototype plus dense-id stores — no string hashing, no
-    /// per-disk name formatting.
+    /// (deterministic name order; see [`CounterRegistry`]): a clone of
+    /// the kernel's live counters plus the values derived from subsystem
+    /// state, stored by the ids interned at boot ([`KernelCounterIds`])
+    /// — no string hashing, no per-disk name formatting.
     pub(crate) fn publish_counters(&self) -> CounterRegistry {
         let ids = &self.counter_ids;
-        let mut reg = ids.proto.clone();
-        reg.set_id(ids.sched_dispatches, self.sched_counts.dispatches);
-        reg.set_id(ids.sched_preemptions, self.sched_counts.preemptions);
-        reg.set_id(ids.sched_loans, self.sched_counts.loans);
-        reg.set_id(ids.sched_ipis, self.sched_counts.ipis);
+        let mut reg = self.counters.clone();
         reg.set_id(ids.locks_acquires, self.locks.total_acquires());
         reg.set_id(ids.locks_contended, self.locks.contended_acquires());
         let cache = self.cache.stats();
@@ -665,23 +643,9 @@ impl Kernel {
             reg.set_id(requests, d.stats().total_requests());
             reg.set_id(errors, d.stats().total_errors());
         }
-        reg.set_id(ids.kernel_errors, self.error_count);
         reg.set_id(ids.audit_checks, self.auditor.checks());
-        reg.set_id(
-            ids.audit_violations,
-            self.auditor.violation_count() + self.cpu_audit_violations,
-        );
-        let f = &self.fault_counts;
-        reg.set_id(ids.fault_injected, f.injected);
-        reg.set_id(ids.fault_skipped, f.skipped);
-        reg.set_id(ids.fault_crashes, f.crashes);
-        reg.set_id(ids.fault_forkbombs, f.forkbombs);
-        reg.set_id(ids.fault_cpu_offline, f.cpu_offline);
-        reg.set_id(ids.fault_cpu_online, f.cpu_online);
-        reg.set_id(ids.fault_disk_errors, f.disk_errors);
-        reg.set_id(ids.fault_io_retries, f.io_retries);
-        reg.set_id(ids.fault_io_failures, f.io_failures);
-        reg.set_id(ids.fault_retry_storms, f.retry_storms);
+        // The live count holds the CPU-partition audit failures.
+        reg.add_id(ids.audit_violations, self.auditor.violation_count());
         reg.set_id(ids.trace_dropped, self.trace.dropped());
         // Interference counters are interned only when attribution is on,
         // so the registry (and every export derived from it) is untouched

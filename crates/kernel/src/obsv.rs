@@ -182,9 +182,7 @@ impl PartialEq for CounterRegistry {
 impl Eq for CounterRegistry {}
 
 /// Which resource a [`SampleSeries`] tracks — the unified
-/// [`spu_core::ResourceKind`]. Its `as_str` tags key the export lines;
-/// samplers and exporters iterate the kinds a kernel's managers
-/// declare instead of enumerating resources by hand.
+/// [`spu_core::ResourceKind`]. Its `as_str` tags key the export lines.
 pub use spu_core::ResourceKind;
 
 /// One sample point of an SPU's levels for one resource.
@@ -356,8 +354,8 @@ pub struct ObsvReport {
     /// Named subsystem counters.
     pub counters: CounterRegistry,
     /// Per-SPU resource series (empty unless sampling was enabled);
-    /// laid out SPU-major, the kernel's managed kinds in registry order
-    /// within an SPU.
+    /// laid out SPU-major, CPU time, memory and disk bandwidth in that
+    /// order within an SPU.
     pub series: Vec<SampleSeries>,
     /// Latency histograms.
     pub latency: LatencyStats,

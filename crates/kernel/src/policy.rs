@@ -1,12 +1,11 @@
-//! Resource policy and recovery: the kernel's [`ResourceManager`]
-//! registry (CPU time, memory, disk bandwidth as three instances of the
-//! one `spu-core` contract), the generic sampler and auditor passes
-//! that iterate it, and fault injection with its recovery policies.
+//! Resource policy and recovery: the per-tick ledger audit, the
+//! periodic `(entitled, allowed, used)` sampler over CPU time, memory
+//! and disk bandwidth, and fault injection with its recovery policies.
 
 use std::sync::Arc;
 
 use event_sim::{FaultKind, SimDuration, SimTime};
-use spu_core::{CpuPartition, LevelSnapshot, ResourceKind, ResourceManager, SpuId};
+use spu_core::{CpuPartition, ResourceKind, SpuId};
 
 use crate::kernel::Kernel;
 use crate::obsv::interference::SloSample;
@@ -15,156 +14,18 @@ use crate::process::{MicroOp, ProcState};
 use crate::program::Program;
 use crate::trace::TraceEvent;
 
-/// Fault-injection and recovery tallies published as `fault.*` counters.
-#[derive(Debug, Default)]
-pub(crate) struct FaultCounters {
-    pub(crate) injected: u64,
-    pub(crate) skipped: u64,
-    pub(crate) crashes: u64,
-    pub(crate) forkbombs: u64,
-    pub(crate) cpu_offline: u64,
-    pub(crate) cpu_online: u64,
-    pub(crate) disk_errors: u64,
-    pub(crate) io_retries: u64,
-    pub(crate) io_failures: u64,
-    pub(crate) retry_storms: u64,
-}
-
-/// The kernel's managed resources, one [`ResourceManager`] each, in the
-/// fixed registry order the sample series are laid out in.
-pub(crate) fn kernel_managers() -> Vec<Box<dyn ResourceManager<Ctx = Kernel> + Send + Sync>> {
-    vec![
-        Box::new(CpuTimeManager),
-        Box::new(MemLedgerManager),
-        Box::new(DiskBwManager),
-    ]
-}
-
-/// CPU time through the §3.1 hybrid partition: entitlement from the
-/// partition; `allowed` is the entitlement plus any CPUs currently
-/// borrowed (loans).
-#[derive(Debug, Default)]
-pub(crate) struct CpuTimeManager;
-
-impl ResourceManager for CpuTimeManager {
-    type Ctx = Kernel;
-
-    fn kind(&self) -> ResourceKind {
-        ResourceKind::CpuTime
-    }
-
-    fn sample(&mut self, k: &mut Kernel, users: usize, _now: SimTime) -> Vec<LevelSnapshot> {
-        // CPU occupancy: how many CPUs each user SPU is running on, and
-        // how many of those are loans from other SPUs' home CPUs.
-        let mut used = vec![0u64; users];
-        let mut loaned = vec![0u64; users];
-        for i in 0..k.sched.cpu_count() {
-            let c = k.sched.cpu(i);
-            if let Some(pid) = c.running {
-                if let Some(u) = k.procs.get(pid).spu.user_index() {
-                    used[u] += 1;
-                    if c.loaned {
-                        loaned[u] += 1;
-                    }
-                }
-            }
-        }
-        (0..users)
-            .map(|u| LevelSnapshot {
-                entitled: k.cpu_entitled[u],
-                allowed: k.cpu_entitled[u] + loaned[u] as f64,
-                used: used[u] as f64,
-            })
-            .collect()
-    }
-}
-
-/// Physical memory straight from the VM ledger (§3.2): under PIso the
-/// policy raises `allowed` above `entitled` while lending and drops it
-/// back at the next evaluation. Owns the conservation audit because the
-/// memory ledger is the one the [`LedgerAuditor`](spu_core::LedgerAuditor)
-/// watches.
-#[derive(Debug, Default)]
-pub(crate) struct MemLedgerManager;
-
-impl ResourceManager for MemLedgerManager {
-    type Ctx = Kernel;
-
-    fn kind(&self) -> ResourceKind {
-        ResourceKind::Memory
-    }
-
-    fn sample(&mut self, k: &mut Kernel, users: usize, _now: SimTime) -> Vec<LevelSnapshot> {
-        (0..users)
-            .map(|u| {
-                let lv = k.vm.levels(SpuId::user(u as u32));
-                LevelSnapshot {
-                    entitled: lv.entitled as f64,
-                    allowed: lv.allowed as f64,
-                    used: lv.used as f64,
-                }
-            })
-            .collect()
-    }
-
-    fn audit(&mut self, k: &mut Kernel, pressure: bool, now: SimTime) {
-        k.cfg
-            .scheme
-            .sharing()
-            .audit(&mut k.auditor, k.vm.ledger(), &k.spus, pressure, now);
-    }
-}
-
-/// Disk bandwidth as decayed sector counts per §3.3. The fair share of
-/// the current decayed total is the entitlement; `allowed` tops out at
-/// actual usage because the §3.3 scheduler throttles rather than
-/// reserves. The decay is step-invariant, so sampling never perturbs
-/// scheduling.
-#[derive(Debug, Default)]
-pub(crate) struct DiskBwManager;
-
-impl ResourceManager for DiskBwManager {
-    type Ctx = Kernel;
-
-    fn kind(&self) -> ResourceKind {
-        ResourceKind::DiskBandwidth
-    }
-
-    fn sample(&mut self, k: &mut Kernel, users: usize, now: SimTime) -> Vec<LevelSnapshot> {
-        let used: Vec<f64> = (0..users)
-            .map(|u| {
-                let spu = SpuId::user(u as u32);
-                k.disks
-                    .iter_mut()
-                    .map(|d| d.sampled_bandwidth(spu, now))
-                    .sum()
-            })
-            .collect();
-        let total: f64 = used.iter().sum();
-        let weight_sum: f64 = (0..users)
-            .map(|u| k.spus.disk_weight(SpuId::user(u as u32)) as f64)
-            .sum();
-        (0..users)
-            .map(|u| {
-                let entitled = if weight_sum > 0.0 {
-                    total * k.spus.disk_weight(SpuId::user(u as u32)) as f64 / weight_sum
-                } else {
-                    0.0
-                };
-                LevelSnapshot {
-                    entitled,
-                    allowed: entitled.max(used[u]),
-                    used: used[u],
-                }
-            })
-            .collect()
-    }
-}
+/// The resources the sampler records, in the order their series are
+/// laid out within each SPU (see [`Kernel::on_sample`]).
+pub(crate) const SAMPLED: [ResourceKind; 3] = [
+    ResourceKind::CpuTime,
+    ResourceKind::Memory,
+    ResourceKind::DiskBandwidth,
+];
 
 impl Kernel {
-    /// Runs every manager's audit hook over the kernel's books.
-    /// Violations surface as the `audit.violations` counter, never as a
-    /// panic.
+    /// Audits the memory ledger (the one ledger with conservation
+    /// invariants). Violations surface as the `audit.violations`
+    /// counter, never as a panic.
     pub(crate) fn audit_ledger(&mut self) {
         // Policy-pass boundary: fold per-CPU shard deltas so the
         // auditor's conservation check runs against exact global books.
@@ -176,33 +37,27 @@ impl Kernel {
             .sum();
         let pressure = denials > self.last_denials;
         self.last_denials = denials;
-        let now = self.now;
-        let mut managers = std::mem::take(&mut self.managers);
-        for m in &mut managers {
-            m.audit(self, pressure, now);
-        }
-        self.managers = managers;
+        let enforce = self.cfg.scheme.enforces_isolation();
+        self.auditor
+            .check(self.vm.ledger(), &self.spus, enforce, pressure, self.now);
     }
 
     /// Records one `(entitled, allowed, used)` sample per user SPU and
-    /// managed resource, iterating the manager registry. See
+    /// [`SAMPLED`] resource. See
     /// [`enable_sampling`](Self::enable_sampling).
     pub(crate) fn on_sample(&mut self) {
         let now = self.now;
         let users = self.spus.user_count();
-        let mut managers = std::mem::take(&mut self.managers);
-        let width = managers.len();
-        for (slot, m) in managers.iter_mut().enumerate() {
-            for (u, s) in m.sample(self, users, now).into_iter().enumerate() {
-                self.series[u * width + slot].push(ResourceSample {
-                    at: now,
-                    entitled: s.entitled,
-                    allowed: s.allowed,
-                    used: s.used,
-                });
+        let per_kind = [
+            self.sample_cpu(users, now),
+            self.sample_memory(users, now),
+            self.sample_disk(users, now),
+        ];
+        for (slot, samples) in per_kind.into_iter().enumerate() {
+            for (u, s) in samples.into_iter().enumerate() {
+                self.series[u * SAMPLED.len() + slot].push(s);
             }
         }
-        self.managers = managers;
         // The SLO tracker piggybacks on the same cadence: cumulative
         // per-SPU completion/violation counts at every sampling instant.
         if let Some(target) = self.slo_target {
@@ -238,6 +93,86 @@ impl Kernel {
         }
     }
 
+    /// CPU time through the §3.1 hybrid partition: entitlement from the
+    /// partition; `allowed` is the entitlement plus any CPUs currently
+    /// borrowed (loans); `used` is how many CPUs the SPU is running on.
+    fn sample_cpu(&self, users: usize, at: SimTime) -> Vec<ResourceSample> {
+        let mut used = vec![0u64; users];
+        let mut loaned = vec![0u64; users];
+        for i in 0..self.sched.cpu_count() {
+            let c = self.sched.cpu(i);
+            if let Some(pid) = c.running {
+                if let Some(u) = self.procs.get(pid).spu.user_index() {
+                    used[u] += 1;
+                    if c.loaned {
+                        loaned[u] += 1;
+                    }
+                }
+            }
+        }
+        (0..users)
+            .map(|u| ResourceSample {
+                at,
+                entitled: self.cpu_entitled[u],
+                allowed: self.cpu_entitled[u] + loaned[u] as f64,
+                used: used[u] as f64,
+            })
+            .collect()
+    }
+
+    /// Physical memory straight from the VM ledger (§3.2): under PIso
+    /// the policy raises `allowed` above `entitled` while lending and
+    /// drops it back at the next evaluation.
+    fn sample_memory(&self, users: usize, at: SimTime) -> Vec<ResourceSample> {
+        (0..users)
+            .map(|u| {
+                let lv = self.vm.levels(SpuId::user(u as u32));
+                ResourceSample {
+                    at,
+                    entitled: lv.entitled as f64,
+                    allowed: lv.allowed as f64,
+                    used: lv.used as f64,
+                }
+            })
+            .collect()
+    }
+
+    /// Disk bandwidth as decayed sector counts per §3.3. The fair share
+    /// of the current decayed total is the entitlement; `allowed` tops
+    /// out at actual usage because the §3.3 scheduler throttles rather
+    /// than reserves. The decay is step-invariant, so sampling never
+    /// perturbs scheduling.
+    fn sample_disk(&mut self, users: usize, at: SimTime) -> Vec<ResourceSample> {
+        let used: Vec<f64> = (0..users)
+            .map(|u| {
+                let spu = SpuId::user(u as u32);
+                self.disks
+                    .iter_mut()
+                    .map(|d| d.sampled_bandwidth(spu, at))
+                    .sum()
+            })
+            .collect();
+        let total: f64 = used.iter().sum();
+        let weight_sum: f64 = (0..users)
+            .map(|u| self.spus.disk_weight(SpuId::user(u as u32)) as f64)
+            .sum();
+        (0..users)
+            .map(|u| {
+                let entitled = if weight_sum > 0.0 {
+                    total * self.spus.disk_weight(SpuId::user(u as u32)) as f64 / weight_sum
+                } else {
+                    0.0
+                };
+                ResourceSample {
+                    at,
+                    entitled,
+                    allowed: entitled.max(used[u]),
+                    used: used[u],
+                }
+            })
+            .collect()
+    }
+
     // ----- fault injection & recovery --------------------------------------
 
     /// Applies one injected fault. Malformed targets (out-of-range disk
@@ -245,11 +180,11 @@ impl Kernel {
     /// counted as skipped rather than applied, so a random plan can
     /// never wedge the machine.
     pub(crate) fn on_fault(&mut self, kind: FaultKind) {
-        self.fault_counts.injected += 1;
+        self.counters.add_id(self.counter_ids.fault_injected, 1);
         match kind {
             FaultKind::DiskTransientErrors { disk, count } => {
                 if disk >= self.disks.len() || count == 0 {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
@@ -260,7 +195,7 @@ impl Kernel {
             }
             FaultKind::DiskDegrade { disk, factor } => {
                 if disk >= self.disks.len() || !factor.is_finite() || factor < 1.0 {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
@@ -272,7 +207,7 @@ impl Kernel {
             }
             FaultKind::DiskRepair { disk } => {
                 if disk >= self.disks.len() {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
@@ -287,14 +222,14 @@ impl Kernel {
                     || !self.sched.cpu(cpu).online
                     || self.sched.online_count() <= 1
                 {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
                     at: self.now,
                     label: "cpu-offline",
                 });
-                self.fault_counts.cpu_offline += 1;
+                self.counters.add_id(self.counter_ids.fault_cpu_offline, 1);
                 if self.sched.cpu(cpu).running.is_some() {
                     self.preempt(cpu);
                 }
@@ -303,14 +238,14 @@ impl Kernel {
             }
             FaultKind::CpuOnline { cpu } => {
                 if cpu >= self.sched.cpu_count() || self.sched.cpu(cpu).online {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
                     at: self.now,
                     label: "cpu-online",
                 });
-                self.fault_counts.cpu_online += 1;
+                self.counters.add_id(self.counter_ids.fault_cpu_online, 1);
                 self.sched.set_online(cpu, true);
                 self.rebalance_cpus();
             }
@@ -323,19 +258,19 @@ impl Kernel {
                 pages,
             } => {
                 if user_spu as usize >= self.spus.user_count() {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
                     at: self.now,
                     label: "fork-bomb",
                 });
-                self.fault_counts.forkbombs += 1;
+                self.counters.add_id(self.counter_ids.fault_forkbombs, 1);
                 self.spawn_fork_bomb(user_spu, width, depth, burn, pages);
             }
             FaultKind::RetryStorm { user_spu, burst } => {
                 if user_spu as usize >= self.spus.user_count() || burst == 0 {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 let spu = SpuId::user(user_spu);
@@ -352,14 +287,14 @@ impl Kernel {
                     .take(burst.clamp(1, 16) as usize)
                     .collect();
                 if dups.is_empty() {
-                    self.fault_counts.skipped += 1;
+                    self.counters.add_id(self.counter_ids.fault_skipped, 1);
                     return;
                 }
                 self.trace.push(TraceEvent::FaultInjected {
                     at: self.now,
                     label: "retry-storm",
                 });
-                self.fault_counts.retry_storms += 1;
+                self.counters.add_id(self.counter_ids.fault_retry_storms, 1);
                 let now = self.now;
                 for prog in dups {
                     self.spawn_at(spu, prog, None, now);
@@ -399,7 +334,7 @@ impl Kernel {
             .map(|id| partition.milli_cpus(id))
             .sum();
         if total > online as u64 * 1000 {
-            self.cpu_audit_violations += 1;
+            self.counters.add_id(self.counter_ids.audit_violations, 1);
         }
         if self.sample_interval.is_some() {
             self.cpu_entitled = self
@@ -432,7 +367,7 @@ impl Kernel {
     /// chosen — their wakeups are owned by other subsystems' queues.
     pub(crate) fn crash_in_spu(&mut self, user_spu: u32) {
         if user_spu as usize >= self.spus.user_count() {
-            self.fault_counts.skipped += 1;
+            self.counters.add_id(self.counter_ids.fault_skipped, 1);
             return;
         }
         let spu = SpuId::user(user_spu);
@@ -443,14 +378,14 @@ impl Kernel {
             .map(|p| (p.pid, p.state))
             .min_by_key(|&(pid, _)| pid);
         let Some((pid, state)) = victim else {
-            self.fault_counts.skipped += 1;
+            self.counters.add_id(self.counter_ids.fault_skipped, 1);
             return;
         };
         self.trace.push(TraceEvent::FaultInjected {
             at: self.now,
             label: "process-crash",
         });
-        self.fault_counts.crashes += 1;
+        self.counters.add_id(self.counter_ids.fault_crashes, 1);
         match state {
             ProcState::Running(cpu) => {
                 if let Err(e) = self.deschedule(cpu) {

@@ -18,8 +18,7 @@
 //! page."
 
 use spu_core::{
-    ChargeError, MemPolicyInput, MemSharingPolicy, ResourceLedger, ResourceLevels, Scheme,
-    ShardedLedger, SpuId, SpuSet,
+    ChargeError, PolicyInput, ResourceLedger, ResourceLevels, Scheme, ShardedLedger, SpuId, SpuSet,
 };
 
 use crate::config::SECTORS_PER_PAGE;
@@ -160,7 +159,8 @@ pub struct MemoryManager {
     /// class's occupancy counter, letting the victim selector skip the
     /// cache walk entirely when an SPU has none.
     cache_frames: Vec<u64>,
-    policy: MemSharingPolicy,
+    /// The Reserve Threshold (§3.2) as a fraction of user memory.
+    reserve_frac: f64,
     scheme: Scheme,
     spus: SpuSet,
     pressure: Vec<bool>,
@@ -202,7 +202,12 @@ impl MemoryManager {
     /// Creates a manager over `total_frames` frames.
     ///
     /// `kernel_frac` of memory is charged to the kernel SPU at boot;
-    /// `reserve_frac` is the Reserve Threshold (§3.2).
+    /// `reserve_frac` is the Reserve Threshold (§3.2): the fraction of
+    /// user memory kept free rather than lent (the paper uses 0.08).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reserve_frac` is not in `[0, 1)`.
     pub fn new(
         total_frames: u64,
         spus: &SpuSet,
@@ -216,6 +221,10 @@ impl MemoryManager {
     /// Creates a manager whose ledger has `shards` per-CPU accumulation
     /// shards (plus the built-in detached shard for CPU-less contexts).
     /// The kernel passes its CPU count; standalone use can pass 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reserve_frac` is not in `[0, 1)`.
     pub fn with_shards(
         total_frames: u64,
         spus: &SpuSet,
@@ -224,6 +233,10 @@ impl MemoryManager {
         reserve_frac: f64,
         shards: usize,
     ) -> Self {
+        assert!(
+            (0.0..1.0).contains(&reserve_frac),
+            "reserve fraction must be in [0, 1)"
+        );
         let n_spus = spus.total_count();
         let n = total_frames as usize;
         let mut vm = MemoryManager {
@@ -238,7 +251,7 @@ impl MemoryManager {
             ledger: ShardedLedger::new(total_frames, n_spus, shards),
             lists: vec![[ResidentList::default(); 2]; n_spus],
             cache_frames: vec![0; n_spus],
-            policy: MemSharingPolicy::new(reserve_frac),
+            reserve_frac,
             scheme,
             spus: spus.clone(),
             pressure: vec![false; n_spus],
@@ -323,7 +336,7 @@ impl MemoryManager {
 
     /// Whether per-SPU limits are enforced (everything but `SMP`).
     fn enforce(&self) -> bool {
-        self.scheme.sharing().enforces()
+        self.scheme.enforces_isolation()
     }
 
     /// A frame's metadata, assembled from the struct-of-arrays columns.
@@ -423,8 +436,7 @@ impl MemoryManager {
     /// [`acquire_frame`](Self::acquire_frame) accumulating the charge on
     /// `shard` — the faulting CPU's shard on the hot fault path.
     pub fn acquire_frame_on(&mut self, shard: usize, spu: SpuId, owner: FrameOwner) -> Acquired {
-        let sharing = self.scheme.sharing();
-        let evicted = match sharing.can_charge_sharded(&self.ledger, spu, 1) {
+        let evicted = match self.ledger.can_charge(spu, 1, self.enforce()) {
             Ok(()) => None,
             Err(ChargeError::OverAllowed { .. }) => {
                 // At the allowed level: steal one of this SPU's own pages.
@@ -666,10 +678,9 @@ impl MemoryManager {
 
     /// Runs the periodic sharing policy (§3.2): recomputes entitlements
     /// net of kernel/shared usage, then asks the scheme's
-    /// [`SharingPolicy`](spu_core::SharingPolicy) for new allowed levels
-    /// — idle pages flow to pressured SPUs under `PIso`, allowed snaps
-    /// back to entitled under `Quota`/`SMP` — and clears the pressure
-    /// flags.
+    /// [`lend_idle`](Scheme::lend_idle) for new allowed levels — idle
+    /// pages flow to pressured SPUs under `PIso`, allowed snaps back to
+    /// entitled under `Quota`/`SMP` — and clears the pressure flags.
     pub fn run_policy(&mut self) {
         // Policy-pass boundary: reconcile per-CPU shard deltas first so
         // the global ledger the pass (and any auditor after it) sees is
@@ -679,49 +690,34 @@ impl MemoryManager {
         let kernel_used = self.ledger.used(SpuId::KERNEL);
         let shared_used = self.ledger.used(SpuId::SHARED);
         let user_pages = capacity.saturating_sub(kernel_used + shared_used);
-        let sharing = self.scheme.sharing();
         let entitled = self.spus.split_memory(user_pages);
         for (i, id) in self.spus.user_ids().enumerate() {
-            sharing.entitle_sharded(&mut self.ledger, id, entitled[i]);
+            self.ledger.set_entitled(id, entitled[i]);
         }
-        let inputs: Vec<MemPolicyInput> = self
+        let inputs: Vec<PolicyInput> = self
             .spus
             .user_ids()
-            .map(|id| MemPolicyInput {
+            .map(|id| PolicyInput {
                 spu: id,
                 levels: self.ledger.levels(id),
                 pressured: self.pressure[id.index()],
             })
             .collect();
-        // The env lookup is cached: getenv on every policy pass (one per
-        // 100 ms of sim time) is visible in paging-heavy profiles.
-        static VMTRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *VMTRACE.get_or_init(|| std::env::var("VMTRACE").is_ok()) {
-            eprintln!(
-                "policy: {:?}",
-                inputs
-                    .iter()
-                    .map(|i| (
-                        i.spu.to_string(),
-                        i.levels.entitled,
-                        i.levels.used,
-                        i.pressured
-                    ))
-                    .collect::<Vec<_>>()
-            );
-        }
-        let reserve = self.policy.reserve_pages(user_pages);
+        // "Excess pages are calculated as the total idle pages in the
+        // system less a small number of pages that are kept free (the
+        // Reserve Threshold)", so a lender reclaiming its pages is not
+        // denied one while the revocation completes.
+        let reserve = (user_pages as f64 * self.reserve_frac).round() as u64;
         // On hierarchical SPU sets idle pages flow to pressured siblings
         // inside a tenant before escaping to other tenants; on flat sets
-        // (tree = None) this is exactly the old machine-wide lend.
-        for (spu, allowed) in
-            sharing.lend_idle_scoped(user_pages, reserve, &inputs, self.spus.tree())
+        // (tree = None) the lend is machine-wide.
+        for (spu, allowed) in self
+            .scheme
+            .lend_idle(user_pages, reserve, &inputs, self.spus.tree())
         {
             self.ledger.set_allowed(spu, allowed);
         }
-        for p in &mut self.pressure {
-            *p = false;
-        }
+        self.pressure.fill(false);
     }
 
     /// Debug invariants: ledger consistent with frame ownership (the
@@ -770,6 +766,12 @@ mod tests {
         // User entitlements split the rest.
         assert_eq!(vm.levels(SpuId::user(0)).entitled, 450);
         assert_eq!(vm.levels(SpuId::user(1)).entitled, 450);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserve fraction")]
+    fn bad_reserve_fraction_panics() {
+        MemoryManager::new(1000, &SpuSet::equal_users(2), Scheme::PIso, 0.10, 1.5);
     }
 
     #[test]
@@ -834,7 +836,9 @@ mod tests {
         // ...while user1 is idle. The policy raises user0's allowed level.
         vm.run_policy();
         let l = vm.levels(SpuId::user(0));
-        assert!(l.allowed > l.entitled, "no lending happened: {:?}", l);
+        // All 450 of user1's idle pages, less the Reserve Threshold:
+        // round(900 user pages × 0.08) = 72.
+        assert_eq!(l.allowed, l.entitled + 450 - 72, "{l:?}");
         // And user0 can now grow without evicting.
         assert!(matches!(
             vm.acquire_frame(SpuId::user(0), anon(1, entitled as u32 + 1)),

@@ -295,50 +295,6 @@ impl NetDevice {
     }
 }
 
-/// The NIC is a self-contained bandwidth manager — the fourth resource
-/// kind through the same contract as CPU, memory and disk (§5): decayed
-/// byte counts are the `used` levels, the fair split of the decayed
-/// total by share weight is the entitlement, and `allowed` tops out at
-/// actual usage because the fair scheduler throttles rather than
-/// reserves.
-impl spu_core::ResourceManager for NetDevice {
-    type Ctx = ();
-
-    fn kind(&self) -> spu_core::ResourceKind {
-        spu_core::ResourceKind::NetBandwidth
-    }
-
-    fn sample(
-        &mut self,
-        _ctx: &mut (),
-        users: usize,
-        now: SimTime,
-    ) -> Vec<spu_core::LevelSnapshot> {
-        self.bw.decay_to(now);
-        let used: Vec<f64> = (0..users)
-            .map(|u| self.bw.count(SpuId::user(u as u32)))
-            .collect();
-        let total: f64 = used.iter().sum();
-        let weight_sum: f64 = (0..users)
-            .map(|u| self.bw.share(SpuId::user(u as u32)))
-            .sum();
-        (0..users)
-            .map(|u| {
-                let entitled = if weight_sum > 0.0 {
-                    total * self.bw.share(SpuId::user(u as u32)) / weight_sum
-                } else {
-                    0.0
-                };
-                spu_core::LevelSnapshot {
-                    entitled,
-                    allowed: entitled.max(used[u]),
-                    used: used[u],
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,27 +422,5 @@ mod tests {
     #[should_panic(expected = "empty packet")]
     fn zero_byte_packet_panics() {
         Packet::new(SpuId::user(0), 0);
-    }
-
-    #[test]
-    fn nic_is_a_net_bandwidth_resource_manager() {
-        use spu_core::ResourceManager;
-
-        let mut nic = NetDevice::new(NicModel::fast_ethernet(), PacketScheduler::Fair, 4);
-        assert_eq!(nic.kind(), spu_core::ResourceKind::NetBandwidth);
-        let done = nic.submit(Packet::new(SpuId::user(0), 10_000), SimTime::ZERO);
-        let end = drain(&mut nic, done);
-
-        let snaps = nic.sample(&mut (), 2, end);
-        assert_eq!(snaps.len(), 2);
-        assert!(snaps[0].used > 0.0, "transmitted bytes must show as used");
-        assert_eq!(snaps[1].used, 0.0);
-        // Equal shares: the decayed total splits evenly into entitlements,
-        // and the busy stream's allowed level tops out at its usage.
-        assert!((snaps[0].entitled - snaps[1].entitled).abs() < 1e-9);
-        assert!((snaps[0].allowed - snaps[0].used).abs() < 1e-9);
-        for s in &snaps {
-            assert!(s.used <= s.allowed + 1e-9);
-        }
     }
 }
