@@ -32,7 +32,7 @@ fn main() {
         return;
     }
 
-    // The hot-path micro targets, shared with the `micro` bench.
+    // The hot-path micro targets.
     let mut c = Criterion::default();
     micro_targets::bench_event_queue(&mut c);
     micro_targets::bench_scheduler_pick(&mut c);

@@ -1,12 +1,8 @@
 //! Criterion benchmark harness for the performance-isolation
-//! reproduction. Two bench targets:
-//!
-//! * `core` — the tracked perf baseline: the hot-path micros below, the
-//!   quick-scale sweep of every experiment matrix end to end, and the
-//!   attribution overhead ratio, written to `BENCH_core.json` and
-//!   ratcheted in CI.
-//! * `micro` — substrate micro-benchmarks (event queue, scheduler
-//!   picks, fault path, RNG, disk model, bandwidth tracker).
+//! reproduction. One bench target, `core`, owns the tracked perf
+//! baseline: the hot-path micros below, the quick-scale sweep of every
+//! experiment matrix end to end, and the attribution overhead ratio,
+//! written to `BENCH_core.json` and ratcheted in CI.
 //!
 //! The paper's figures and tables come from the examples
 //! (`cargo run --release --example paper_tables`), not from the benches.
@@ -14,9 +10,8 @@
 /// Re-exported experiment scale for bench configuration.
 pub use experiments::Scale;
 
-/// Micro-benchmark targets shared between the `micro` bench (full
-/// substrate coverage) and the `core` bench (the tracked
-/// `BENCH_core.json` baseline): the three kernel hot paths this repo
+/// Micro-benchmark targets the `core` bench times into the tracked
+/// `BENCH_core.json` baseline: the three kernel hot paths this repo
 /// optimises — event-queue churn, scheduler picks, and the page-fault
 /// path.
 pub mod micro_targets {

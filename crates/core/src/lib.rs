@@ -24,7 +24,7 @@
 //!   flat SPU set (multi-tenant consolidation; depth-1 ≡ flat).
 //! * [`resource`] — resource kinds and the three-level accounting record.
 //! * [`ledger`] — per-SPU countable-resource accounting with isolation
-//!   enforcement (memory pages), flat or sharded per CPU.
+//!   enforcement (memory pages).
 //! * [`scheme`] — the three allocation schemes compared throughout the
 //!   paper: `SMP`, `Quota`, `PIso` (Table 2). They differ only in
 //!   whether a charge past `allowed` is refused
@@ -66,7 +66,7 @@ pub use audit::{AuditViolation, LedgerAuditor};
 pub use cpu_policy::{CpuAssignment, CpuPartition, SharedCpuRotor};
 pub use disk_policy::BandwidthTracker;
 pub use hierarchy::{SpuTree, Tenant};
-pub use ledger::{ChargeError, ResourceLedger, ShardedLedger};
+pub use ledger::{ChargeError, ResourceLedger};
 pub use resource::{ResourceKind, ResourceLevels};
 pub use scheme::{PolicyInput, Scheme};
 pub use shed::ShedPolicy;

@@ -5,8 +5,7 @@
 //! an SPU's `allowed` level is refused
 //! ([`Scheme::enforces_isolation`]), and whether idle units are lent by
 //! raising `allowed` ([`Scheme::lend_idle`]). Callers apply both
-//! directly to a [`ResourceLedger`](crate::ResourceLedger) or
-//! [`ShardedLedger`](crate::ShardedLedger).
+//! directly to a [`ResourceLedger`](crate::ResourceLedger).
 
 use std::fmt;
 

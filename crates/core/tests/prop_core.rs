@@ -4,7 +4,7 @@ use event_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use spu_core::{
     BandwidthTracker, CpuAssignment, CpuPartition, PolicyInput, ResourceLedger, ResourceLevels,
-    Scheme, ShardedLedger, SharedCpuRotor, SpuId, SpuSet,
+    Scheme, SharedCpuRotor, SpuId, SpuSet,
 };
 
 proptest! {
@@ -50,11 +50,13 @@ proptest! {
         }
     }
 
-    /// The ledger never overcommits for any interleaving of operations.
+    /// The ledger never overcommits for any interleaving of charges,
+    /// releases and transfers, and its per-SPU counts track a plain
+    /// mirror of what each SPU holds.
     #[test]
     fn ledger_never_overcommits(
         capacity in 1u64..10_000,
-        ops in prop::collection::vec((0u8..2, 0u32..4, 1u64..100), 0..200),
+        ops in prop::collection::vec((0u8..3, 0u32..4, 0u32..4, 1u64..100), 0..200),
     ) {
         let spus = SpuSet::equal_users(4);
         let mut ledger = ResourceLedger::new(capacity, spus.total_count());
@@ -62,7 +64,7 @@ proptest! {
             ledger.set_entitled(id, capacity / 4 * (i as u64 % 2 + 1) / 2);
         }
         let mut held = [0u64; 6];
-        for (op, spu_n, n) in ops {
+        for (op, spu_n, to_n, n) in ops {
             let spu = SpuId::user(spu_n);
             match op {
                 0 => {
@@ -70,87 +72,31 @@ proptest! {
                         held[spu.index()] += n;
                     }
                 }
-                _ => {
+                1 => {
                     let take = n.min(held[spu.index()]);
                     if take > 0 {
                         ledger.release(spu, take);
                         held[spu.index()] -= take;
                     }
                 }
+                _ => {
+                    // Drawing the source itself as the destination
+                    // re-marks the units as shared (§3.2).
+                    let to = if to_n == spu_n { SpuId::SHARED } else { SpuId::user(to_n) };
+                    let take = n.min(held[spu.index()]);
+                    if take > 0 {
+                        ledger.transfer(spu, to, take);
+                        held[spu.index()] -= take;
+                        held[to.index()] += take;
+                    }
+                }
             }
             ledger.check_invariants();
             prop_assert!(ledger.total_used() <= capacity);
-        }
-    }
-
-    /// A sharded ledger driven by an arbitrary interleaving of charges,
-    /// releases, transfers and folds agrees with an unsharded ledger
-    /// applying the same operations directly: the exact view matches at
-    /// every step, every charge admits/refuses identically, and each
-    /// fold (the policy-pass boundary) reproduces the global accounting
-    /// bit-for-bit.
-    #[test]
-    fn sharded_ledger_folds_to_global_bit_for_bit(
-        capacity in 1u64..10_000,
-        shard_count in 1usize..9,
-        ops in prop::collection::vec((0u8..5, 0u32..4, 0u32..4, 1u64..100, 0usize..16), 0..300),
-    ) {
-        let spus = SpuSet::equal_users(4);
-        let mut sharded = ShardedLedger::new(capacity, spus.total_count(), shard_count);
-        let mut mirror = ResourceLedger::new(capacity, spus.total_count());
-        for (i, id) in spus.user_ids().enumerate() {
-            let ent = capacity / 4 * (i as u64 % 2 + 1) / 2;
-            sharded.set_entitled(id, ent);
-            mirror.set_entitled(id, ent);
-        }
-        for (op, from_n, to_n, n, shard_n) in ops {
-            let from = SpuId::user(from_n);
-            let to = SpuId::user(to_n);
-            // Include the detached shard in the rotation.
-            let shard = shard_n % (shard_count + 1);
-            match op {
-                0 | 1 => {
-                    let enforce = op == 0;
-                    prop_assert_eq!(
-                        sharded.charge_on(shard, from, n, enforce),
-                        mirror.charge(from, n, enforce),
-                        "charge decisions diverged"
-                    );
-                }
-                2 => {
-                    let take = n.min(mirror.used(from));
-                    if take > 0 {
-                        sharded.release_on(shard, from, take);
-                        mirror.release(from, take);
-                    }
-                }
-                3 => {
-                    let take = n.min(mirror.used(from));
-                    if take > 0 && from != to {
-                        sharded.transfer_on(shard, from, to, take);
-                        mirror.transfer(from, to, take);
-                    }
-                }
-                _ => {
-                    // Policy-pass boundary: fold, then the global
-                    // ledger must equal the mirror bit-for-bit.
-                    sharded.fold();
-                    prop_assert_eq!(sharded.global().snapshot(), mirror.snapshot());
-                    prop_assert_eq!(sharded.global().total_used(), mirror.total_used());
-                }
+            for id in spus.all_ids() {
+                prop_assert_eq!(ledger.used(id), held[id.index()]);
             }
-            // The exact O(1) view tracks the mirror at every step,
-            // folded or not.
-            prop_assert_eq!(sharded.total_used(), mirror.total_used());
-            prop_assert_eq!(sharded.free(), mirror.free());
-            for id in spus.user_ids() {
-                prop_assert_eq!(sharded.used(id), mirror.used(id));
-                prop_assert_eq!(sharded.levels(id), *mirror.levels(id));
-            }
-            sharded.check_invariants();
         }
-        sharded.fold();
-        prop_assert_eq!(sharded.global().snapshot(), mirror.snapshot());
     }
 
     /// PIso lending never lowers an SPU below its entitlement and never

@@ -3,9 +3,8 @@
 //! The workspace builds in environments with no access to a crates
 //! registry, so the real `criterion` crate cannot be resolved. This shim
 //! implements the surface our benches use — `Criterion`,
-//! `benchmark_group`, `bench_function`, `Bencher::iter`, `black_box`,
-//! and the `criterion_group!`/`criterion_main!` macros — with a simple
-//! timer in place of criterion's statistical machinery.
+//! `benchmark_group`, `bench_function`, `Bencher::iter` and `black_box`
+//! — with a simple timer in place of criterion's statistical machinery.
 //!
 //! Behaviour:
 //!
@@ -155,32 +154,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, f: &mut F) 
         min_ns: min,
         samples: b.samples_ns.len(),
     });
-}
-
-/// Declares a benchmark group function calling each target in order.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Declares `main`: runs every group under `cargo bench`, and is a
-/// cheap no-op under `cargo test` so the suite stays fast.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            if !$crate::running_as_bench() {
-                eprintln!("benchmarks skipped (run with `cargo bench`)");
-                return;
-            }
-            $( $group(); )+
-        }
-    };
 }
 
 #[cfg(test)]

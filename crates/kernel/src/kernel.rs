@@ -275,13 +275,12 @@ impl Kernel {
             }
         }
         let sectors_per_disk = DiskModel::hp97560().total_sectors();
-        let vm = MemoryManager::with_shards(
+        let vm = MemoryManager::new(
             cfg.total_frames(),
             &spus,
             cfg.scheme,
             cfg.tuning.kernel_mem_frac,
             cfg.tuning.reserve_frac,
-            cfg.cpus,
         );
         let sched = Scheduler::new(cfg.scheme, cfg.cpus, &spus);
         let locks = LockTable::new(!cfg.tuning.rw_inode_lock);

@@ -63,17 +63,14 @@ impl Kernel {
                 page += 1;
                 continue;
             }
-            let (frame, evicted) =
-                match self
-                    .vm
-                    .acquire_frame_on(cpu, spu, FrameOwner::Anon { pid, page })
-                {
-                    Acquired::Frame { frame, evicted } => (frame, evicted),
-                    Acquired::Denied => {
-                        denied = true;
-                        break;
-                    }
-                };
+            let owner = FrameOwner::Anon { pid, page };
+            let (frame, evicted) = match self.vm.acquire_frame(spu, owner) {
+                Acquired::Frame { frame, evicted } => (frame, evicted),
+                Acquired::Denied => {
+                    denied = true;
+                    break;
+                }
+            };
             if let Some(ev) = evicted {
                 self.note_steal(spu, &ev);
                 self.handle_eviction(ev, Some(pid));

@@ -27,9 +27,6 @@ impl Kernel {
     /// invariants). Violations surface as the `audit.violations`
     /// counter, never as a panic.
     pub(crate) fn audit_ledger(&mut self) {
-        // Policy-pass boundary: fold per-CPU shard deltas so the
-        // auditor's conservation check runs against exact global books.
-        self.vm.fold_ledger();
         let denials: u64 = self
             .spus
             .all_ids()

@@ -17,9 +17,7 @@
 //! SPU before the page is freed, the page will be marked as a shared
 //! page."
 
-use spu_core::{
-    ChargeError, PolicyInput, ResourceLedger, ResourceLevels, Scheme, ShardedLedger, SpuId, SpuSet,
-};
+use spu_core::{ChargeError, PolicyInput, ResourceLedger, ResourceLevels, Scheme, SpuId, SpuSet};
 
 use crate::config::SECTORS_PER_PAGE;
 use crate::fs::FileId;
@@ -143,11 +141,9 @@ pub struct MemoryManager {
     next: Vec<u32>,
     prev: Vec<u32>,
     free: Vec<FrameId>,
-    /// Per-CPU sharded page accounting: the fault path charges the
-    /// faulting CPU's shard; deltas fold into the global ledger at
-    /// policy-pass boundaries. Every decision reads the exact
-    /// (global + pending) view, so sharding never changes behaviour.
-    ledger: ShardedLedger,
+    /// Per-SPU page accounting (§3.2): one count per SPU, charged and
+    /// released as frames change hands.
+    ledger: ResourceLedger,
     /// Per-SPU residency lists in arrival order, one per victim class
     /// (`[CACHE_CLASS]`, `[ANON_CLASS]`), threaded through `next`/`prev`.
     /// Frames are unlinked eagerly on eviction/release/share transfer, so
@@ -215,24 +211,6 @@ impl MemoryManager {
         kernel_frac: f64,
         reserve_frac: f64,
     ) -> Self {
-        Self::with_shards(total_frames, spus, scheme, kernel_frac, reserve_frac, 0)
-    }
-
-    /// Creates a manager whose ledger has `shards` per-CPU accumulation
-    /// shards (plus the built-in detached shard for CPU-less contexts).
-    /// The kernel passes its CPU count; standalone use can pass 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reserve_frac` is not in `[0, 1)`.
-    pub fn with_shards(
-        total_frames: u64,
-        spus: &SpuSet,
-        scheme: Scheme,
-        kernel_frac: f64,
-        reserve_frac: f64,
-        shards: usize,
-    ) -> Self {
         assert!(
             (0.0..1.0).contains(&reserve_frac),
             "reserve fraction must be in [0, 1)"
@@ -248,7 +226,7 @@ impl MemoryManager {
             next: vec![NIL; n],
             prev: vec![NIL; n],
             free: (0..total_frames as u32).rev().map(FrameId).collect(),
-            ledger: ShardedLedger::new(total_frames, n_spus, shards),
+            ledger: ResourceLedger::new(total_frames, n_spus),
             lists: vec![[ResidentList::default(); 2]; n_spus],
             cache_frames: vec![0; n_spus],
             reserve_frac,
@@ -262,10 +240,9 @@ impl MemoryManager {
         // Boot-time kernel memory (code, data, static tables). Kernel
         // frames never enter a residency list (never paged).
         let kernel_frames = (total_frames as f64 * kernel_frac).round() as u64;
-        let boot = vm.ledger.detached_shard();
         for _ in 0..kernel_frames {
             let f = vm.free.pop().expect("kernel fraction must fit");
-            vm.ledger.charge_on(boot, SpuId::KERNEL, 1, false).unwrap();
+            vm.ledger.charge(SpuId::KERNEL, 1, false).unwrap();
             let i = f.0 as usize;
             vm.owners[i] = FrameOwner::Kernel;
             vm.frame_spu[i] = SpuId::KERNEL;
@@ -380,27 +357,14 @@ impl MemoryManager {
         self.stamps[id.0 as usize] = self.charge_seq;
     }
 
-    /// The levels record of an SPU (exact view: global + pending).
+    /// The levels record of an SPU.
     pub fn levels(&self, spu: SpuId) -> ResourceLevels {
-        self.ledger.levels(spu)
+        *self.ledger.levels(spu)
     }
 
-    /// Read access to the global page-frame ledger (for invariant
-    /// auditing). Callers that need exactness must
-    /// [`fold_ledger`](Self::fold_ledger) first.
+    /// Read access to the page-frame ledger (for invariant auditing).
     pub fn ledger(&self) -> &ResourceLedger {
-        self.ledger.global()
-    }
-
-    /// Folds all per-CPU shard deltas into the global ledger, verifying
-    /// per-SPU conservation. Called at policy-pass boundaries.
-    pub fn fold_ledger(&mut self) {
-        self.ledger.fold();
-    }
-
-    /// Number of shard folds performed (observability).
-    pub fn ledger_folds(&self) -> u64 {
-        self.ledger.folds()
+        &self.ledger
     }
 
     /// Free frame count.
@@ -429,19 +393,12 @@ impl MemoryManager {
     /// level (isolation), from the globally most-over-budget SPU when the
     /// machine is simply out of free frames.
     pub fn acquire_frame(&mut self, spu: SpuId, owner: FrameOwner) -> Acquired {
-        let shard = self.ledger.detached_shard();
-        self.acquire_frame_on(shard, spu, owner)
-    }
-
-    /// [`acquire_frame`](Self::acquire_frame) accumulating the charge on
-    /// `shard` — the faulting CPU's shard on the hot fault path.
-    pub fn acquire_frame_on(&mut self, shard: usize, spu: SpuId, owner: FrameOwner) -> Acquired {
         let evicted = match self.ledger.can_charge(spu, 1, self.enforce()) {
             Ok(()) => None,
             Err(ChargeError::OverAllowed { .. }) => {
                 // At the allowed level: steal one of this SPU's own pages.
                 self.pressure[spu.index()] = true;
-                match self.pop_victim(shard, spu) {
+                match self.pop_victim(spu) {
                     Some(v) => Some(v),
                     None => {
                         self.stats[spu.index()].denials += 1;
@@ -451,8 +408,7 @@ impl MemoryManager {
             }
             Err(ChargeError::Exhausted) => {
                 self.pressure[spu.index()] = true;
-                let victim_spu = self.global_victim_spu(spu);
-                match victim_spu.and_then(|vs| self.pop_victim(shard, vs)) {
+                match self.global_victim_spu().and_then(|vs| self.pop_victim(vs)) {
                     Some(v) => Some(v),
                     None => {
                         self.stats[spu.index()].denials += 1;
@@ -475,10 +431,7 @@ impl MemoryManager {
                 None => {
                     // Ledger says there is capacity but all free frames
                     // are spoken for — evict globally.
-                    match self
-                        .global_victim_spu(spu)
-                        .and_then(|vs| self.pop_victim(shard, vs))
-                    {
+                    match self.global_victim_spu().and_then(|vs| self.pop_victim(vs)) {
                         Some(_v) => self.free.pop().expect("victim frame must be free"),
                         None => {
                             self.stats[spu.index()].denials += 1;
@@ -489,7 +442,7 @@ impl MemoryManager {
             }
         };
         self.ledger
-            .charge_on(shard, spu, 1, false)
+            .charge(spu, 1, false)
             .expect("capacity was verified");
         self.charge_seq += 1;
         let i = frame.0 as usize;
@@ -513,7 +466,7 @@ impl MemoryManager {
     /// entries, this is a head pop past (at most) a pinned prefix —
     /// O(1) amortized. The cache-occupancy counter skips the cache walk
     /// entirely for SPUs holding no cache frames.
-    fn pop_victim(&mut self, shard: usize, spu: SpuId) -> Option<Evicted> {
+    fn pop_victim(&mut self, spu: SpuId) -> Option<Evicted> {
         let chosen = if self.cache_frames[spu.index()] > 0 {
             self.first_unpinned(spu, CACHE_CLASS)
                 .or_else(|| self.first_unpinned(spu, ANON_CLASS))
@@ -536,7 +489,7 @@ impl MemoryManager {
         if class == CACHE_CLASS {
             self.cache_frames[spu.index()] -= 1;
         }
-        self.ledger.release_on(shard, spu, 1);
+        self.ledger.release(spu, 1);
         self.owners[i] = FrameOwner::Free;
         self.frame_spu[i] = spu;
         self.flags[i] = 0;
@@ -550,7 +503,7 @@ impl MemoryManager {
     /// global FIFO, approximating IRIX's global paging, which steals from
     /// every process regardless of owner. Never steals from the kernel or
     /// an empty SPU.
-    fn global_victim_spu(&mut self, _for_spu: SpuId) -> Option<SpuId> {
+    fn global_victim_spu(&self) -> Option<SpuId> {
         // Candidate ids are generated index-by-index rather than collected
         // into a Vec: this runs on every frame steal under memory pressure.
         let users = self.spus.user_count() as u32;
@@ -625,8 +578,7 @@ impl MemoryManager {
         if matches!(owner, FrameOwner::Cache { .. }) {
             self.cache_frames[spu.index()] -= 1;
         }
-        let shard = self.ledger.detached_shard();
-        self.ledger.release_on(shard, spu, 1);
+        self.ledger.release(spu, 1);
         self.free.push(id);
     }
 
@@ -648,8 +600,7 @@ impl MemoryManager {
             self.cache_frames[from.index()] -= 1;
             self.cache_frames[SpuId::SHARED.index()] += 1;
         }
-        let shard = self.ledger.detached_shard();
-        self.ledger.transfer_on(shard, from, SpuId::SHARED, 1);
+        self.ledger.transfer(from, SpuId::SHARED, 1);
         self.push_resident(SpuId::SHARED, class, id);
     }
 
@@ -662,30 +613,12 @@ impl MemoryManager {
         start
     }
 
-    /// Frees every anonymous frame of an exiting process by scanning the
-    /// owner column. The kernel's exit path releases through the page
-    /// slab instead (O(pages), not O(frames)); this scan remains for
-    /// callers without a page table.
-    pub fn free_process_frames(&mut self, pid: Pid) {
-        for i in 0..self.owners.len() {
-            if let FrameOwner::Anon { pid: p, .. } = self.owners[i] {
-                if p == pid {
-                    self.release_frame(FrameId(i as u32));
-                }
-            }
-        }
-    }
-
     /// Runs the periodic sharing policy (§3.2): recomputes entitlements
     /// net of kernel/shared usage, then asks the scheme's
     /// [`lend_idle`](Scheme::lend_idle) for new allowed levels — idle
     /// pages flow to pressured SPUs under `PIso`, allowed snaps back to
     /// entitled under `Quota`/`SMP` — and clears the pressure flags.
     pub fn run_policy(&mut self) {
-        // Policy-pass boundary: reconcile per-CPU shard deltas first so
-        // the global ledger the pass (and any auditor after it) sees is
-        // exact.
-        self.ledger.fold();
         let capacity = self.ledger.capacity();
         let kernel_used = self.ledger.used(SpuId::KERNEL);
         let shared_used = self.ledger.used(SpuId::SHARED);
@@ -699,7 +632,7 @@ impl MemoryManager {
             .user_ids()
             .map(|id| PolicyInput {
                 spu: id,
-                levels: self.ledger.levels(id),
+                levels: *self.ledger.levels(id),
                 pressured: self.pressure[id.index()],
             })
             .collect();
@@ -720,8 +653,7 @@ impl MemoryManager {
         self.pressure.fill(false);
     }
 
-    /// Debug invariants: ledger consistent with frame ownership (the
-    /// exact view, so unfolded shard deltas are accounted).
+    /// Debug invariants: ledger consistent with frame ownership.
     pub fn check_invariants(&self) {
         self.ledger.check_invariants();
         let mut counted = vec![0u64; self.spus.total_count()];
@@ -1035,19 +967,6 @@ mod tests {
         let free_before = vm.free_frames();
         vm.release_frame(frame);
         assert_eq!(vm.free_frames(), free_before + 1);
-        vm.check_invariants();
-    }
-
-    #[test]
-    fn free_process_frames_releases_only_that_pid() {
-        let mut vm = vm(1000, Scheme::PIso);
-        for i in 0..10 {
-            vm.acquire_frame(SpuId::user(0), anon(1, i));
-            vm.acquire_frame(SpuId::user(1), anon(2, i));
-        }
-        vm.free_process_frames(Pid(1));
-        assert_eq!(vm.levels(SpuId::user(0)).used, 0);
-        assert_eq!(vm.levels(SpuId::user(1)).used, 10);
         vm.check_invariants();
     }
 

@@ -165,8 +165,8 @@ fn cpu_offline_rebalances_and_online_restores() {
 fn hotplug_storm_at_128_cpus_conserves_ledger() {
     // 128 CPUs, 16 SPUs with live memory traffic, and a hotplug storm:
     // three waves take 48 CPUs away mid-run and bring them all back.
-    // Every offline/online rebalances the per-CPU run queues and folds
-    // the sharded memory ledger, and the auditor must find the
+    // Every offline/online rebalances the per-CPU run queues while
+    // memory keeps changing hands, and the auditor must find the
     // conservation invariant intact at every audit point.
     let mut plan = FaultPlan::new();
     for (wave, base) in [(0u64, 64usize), (1, 80), (2, 96)] {

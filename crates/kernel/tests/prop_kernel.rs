@@ -1,6 +1,6 @@
 //! Property tests for the kernel: arbitrary small workloads must run to
 //! completion (no deadlock/livelock), deterministically, under every
-//! scheme.
+//! scheme, with the memory ledger's books intact.
 
 use event_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -84,6 +84,15 @@ fn run_workload(
         );
     }
     let m = k.run(SimTime::from_secs(600));
+    // The ledger agrees with frame ownership, and the per-tick auditor
+    // ran and found every invariant intact.
+    k.check_invariants();
+    assert_eq!(
+        k.auditor().violation_count(),
+        0,
+        "audit violations under {scheme}"
+    );
+    assert!(k.auditor().checks() > 0, "auditor never ran");
     (m.end_time, m.completed)
 }
 

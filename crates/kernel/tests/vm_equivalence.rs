@@ -462,8 +462,15 @@ fn run_equivalence(scheme: Scheme, ops: &[Op]) -> Coverage {
                 }
             }
             Op::Exit { pid } => {
-                vm.free_process_frames(Pid(pid + 1));
-                r.free_process_frames(Pid(pid + 1));
+                // Release the pid's frames in ascending frame order, the
+                // order the reference model's scan frees them.
+                let pid = Pid(pid + 1);
+                for f in (0..TOTAL_FRAMES as u32).map(FrameId) {
+                    if matches!(vm.frame(f).owner, FrameOwner::Anon { pid: p, .. } if p == pid) {
+                        vm.release_frame(f);
+                    }
+                }
+                r.free_process_frames(pid);
             }
         }
         assert_same_state(&vm, &r, step);
