@@ -36,7 +36,8 @@ fn main() {
     let mut c = Criterion::default();
     micro_targets::bench_event_queue(&mut c);
     micro_targets::bench_scheduler_pick(&mut c);
-    micro_targets::bench_scheduler_pick_512(&mut c);
+    micro_targets::bench_kernel_run_512(&mut c);
+    micro_targets::bench_scheduler_steal_512(&mut c);
     micro_targets::bench_fault_path(&mut c);
     micro_targets::bench_fault_resident(&mut c);
     micro_targets::bench_swapin_batch(&mut c);

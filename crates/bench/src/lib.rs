@@ -11,13 +11,13 @@
 pub use experiments::Scale;
 
 /// Micro-benchmark targets the `core` bench times into the tracked
-/// `BENCH_core.json` baseline: the three kernel hot paths this repo
-/// optimises — event-queue churn, scheduler picks, and the page-fault
-/// path.
+/// `BENCH_core.json` baseline: the kernel hot paths this repo
+/// optimises — event-queue churn, scheduler picks and steals, a whole
+/// 512-CPU run, and the page-fault path.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
     use event_sim::{EventQueue, SimDuration, SimTime};
-    use smp_kernel::{Kernel, MachineConfig, Program};
+    use smp_kernel::{Kernel, MachineConfig, ProcTable, Process, Program, Scheduler};
     use spu_core::{Scheme, SpuId, SpuSet};
 
     /// Timing-wheel churn: 1k schedules followed by a full drain.
@@ -59,14 +59,13 @@ pub mod micro_targets {
         });
     }
 
-    /// Scheduler picks at machine scale: 512 CPUs and 1024 SPUs
-    /// time-sharing two-to-a-CPU, so the run is dominated by per-CPU
-    /// queue picks plus the shared-CPU rotor at the largest supported
-    /// topology. Guards the tentpole claim that dispatch cost stays
-    /// O(1) in machine size — a scan-all-queues regression moves this
-    /// micro by orders of magnitude.
-    pub fn bench_scheduler_pick_512(c: &mut Criterion) {
-        c.bench_function("sched/pick_at_512_cpus", |b| {
+    /// A whole 30 s kernel run at machine scale: 512 CPUs and 1024 SPUs
+    /// time-sharing two to a CPU, with 1,536 spawned CPU hogs. It times
+    /// every layer the run touches — dispatch, steals, loan revocation,
+    /// priority decay and the per-tick ledger audit — not one pick;
+    /// `sched/steal_at_512_cpus` times the steal alone.
+    pub fn bench_kernel_run_512(c: &mut Criterion) {
+        c.bench_function("kernel/run_512_cpus", |b| {
             b.iter(|| {
                 let (cfg, set) = MachineConfig::builder()
                     .topology(512, 3072, 1)
@@ -84,6 +83,46 @@ pub mod micro_targets {
                     }
                 }
                 black_box(k.run(SimTime::from_secs(30)).end_time)
+            })
+        });
+    }
+
+    /// [`Scheduler::pick`] as the PIso idle-CPU steal at machine scale:
+    /// 512 CPUs and 1024 SPUs, with three ready processes in every SPU
+    /// homed only on CPUs 256–511. CPUs 0–255 have empty homes, so each
+    /// of their picks loans the CPU to the machine-wide best process.
+    /// Each iteration times 256 such steals, re-enqueuing every pick so
+    /// the ready set stays the same size.
+    pub fn bench_scheduler_steal_512(c: &mut Criterion) {
+        // CPU `i` time-shares users `2i` and `2i + 1`, so users 512–1023
+        // are homed on CPUs 256–511.
+        let spus = SpuSet::equal_users(1024);
+        let mut s = Scheduler::new(Scheme::PIso, 512, &spus);
+        let prog = Program::builder("ready").build();
+        let mut procs = ProcTable::new();
+        for user in 512..1024 {
+            for _ in 0..3 {
+                let pid = procs.next_pid();
+                let spu = SpuId::user(user);
+                procs.insert(Process::new(
+                    pid,
+                    spu,
+                    None,
+                    prog.clone(),
+                    None,
+                    SimTime::ZERO,
+                ));
+                s.enqueue(&mut procs, pid);
+            }
+        }
+        c.bench_function("sched/steal_at_512_cpus", |b| {
+            b.iter(|| {
+                for cpu in 0..256 {
+                    let (pid, loaned) = s.pick(&mut procs, cpu).expect("ready work");
+                    assert!(loaned, "CPU {cpu} picked from its own home");
+                    s.enqueue(&mut procs, pid);
+                }
+                black_box(s.ready_count())
             })
         });
     }

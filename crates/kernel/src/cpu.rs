@@ -33,20 +33,10 @@ impl Kernel {
         if let Some(cpu) = self.sched.find_idle_for(spu) {
             self.dispatch(cpu);
         } else {
-            // No CPU free: any loaned-out CPU this wake-up makes
-            // revocable starts the revocation-latency clock now. Only
-            // CPUs on the loaned list can need revocation.
-            let mut needs_any = false;
-            let mut cpu = 0;
-            while let Some(c) = self.sched.next_loaned_cpu(cpu) {
-                if self.sched.needs_revocation(&self.procs, c) {
-                    needs_any = true;
-                    if self.revoke_requested[c].is_none() {
-                        self.revoke_requested[c] = Some(self.now);
-                    }
-                }
-                cpu = c + 1;
-            }
+            // No CPU free: every revocable CPU without a stamp yet (not
+            // only those this wake-up made revocable) starts its
+            // revocation-latency clock now.
+            let needs_any = self.sched.mark_revocable(self.now);
             if self.cfg.tuning.ipi_revocation && !self.ipi_pending && needs_any {
                 // If one of this SPU's home CPUs is out on loan, interrupt
                 // it now rather than waiting for the tick. The IPI is
@@ -82,7 +72,7 @@ impl Kernel {
         c.run_start = self.now;
         c.slice_end = self.now + slice;
         c.gen += 1;
-        self.sched.sync_cpu(cpu);
+        self.sched.sync_cpu(&self.procs, cpu);
         let spu = self.procs.get(pid).spu;
         self.trace.push(TraceEvent::Dispatch {
             at: self.now,
@@ -125,27 +115,31 @@ impl Kernel {
         c.gen += 1;
         c.loaned = false;
         c.idle_since = Some(self.now);
-        self.sched.sync_cpu(cpu);
+        self.sched.sync_cpu(&self.procs, cpu);
         // §3.1 revocation latency: a home wake-up marked this loaned CPU
         // revocable; the borrower leaving it (preempt at the tick/IPI, or
         // a voluntary kernel entry) completes the revocation.
-        if let Some(requested) = self.revoke_requested[cpu].take() {
-            if was_loaned {
-                let delay = self.now.saturating_since(requested);
-                self.latency.revocation.add_duration(delay);
-                self.attribute_revocation(cpu, pid, delay);
-            }
-        }
+        self.complete_revocation(cpu, pid, was_loaned);
         let p = self.procs.get_mut(pid);
         p.cpu_time += consumed;
-        p.p_cpu += consumed.as_millis_f64();
         self.spu_cpu[p.spu.index()] += consumed;
+        self.procs.charge_p_cpu(pid, consumed.as_millis_f64());
         Ok(pid)
     }
 
-    /// Charges a completed loan revocation to the borrower's SPU on
-    /// behalf of the CPU's home SPUs (no-op unless attribution is on).
-    fn attribute_revocation(&mut self, cpu: usize, borrower: Pid, delay: event_sim::SimDuration) {
+    /// Clears `cpu`'s revocation stamp as `borrower` leaves it and, when
+    /// it left a loan, records the revocation latency and charges it to
+    /// the borrower's SPU on behalf of the CPU's home SPUs (attribution
+    /// only when enabled).
+    fn complete_revocation(&mut self, cpu: usize, borrower: Pid, was_loaned: bool) {
+        let Some(requested) = self.sched.take_revoke_request(cpu) else {
+            return;
+        };
+        if !was_loaned {
+            return;
+        }
+        let delay = self.now.saturating_since(requested);
+        self.latency.revocation.add_duration(delay);
         if self.attribution.is_none() {
             return;
         }
@@ -210,20 +204,33 @@ impl Kernel {
         self.sched.decay_priorities(&mut self.procs);
         // Loan revocation (§3.1): "the revocation of the CPU happens
         // either at the next clock tick interrupt (every 10 ms), or when
-        // the process voluntarily enters the kernel." The loaned list is
-        // read live: a dispatch inside the loop can create a new loan on
-        // a later CPU, which this sweep must still visit.
+        // the process voluntarily enters the kernel."
+        self.revoke_loans();
+        // Fill any CPUs that went idle while no wake event fired (e.g.
+        // after a revocation shuffle).
+        self.fill_idle_cpus();
+        if self.live_procs > 0 {
+            self.events
+                .schedule(self.now + self.cfg.tuning.tick, Event::Tick);
+        }
+    }
+
+    /// Preempts and redispatches every revocable CPU in ascending order.
+    /// The revocable set is read live: a dispatch inside the sweep can
+    /// create a revocable loan on a later CPU, which the sweep must
+    /// still visit.
+    pub(crate) fn revoke_loans(&mut self) {
         let mut cpu = 0;
-        while let Some(c) = self.sched.next_loaned_cpu(cpu) {
-            if self.sched.needs_revocation(&self.procs, c) {
-                self.preempt(c);
-                self.dispatch(c);
-            }
+        while let Some(c) = self.sched.next_revocable_cpu(cpu) {
+            self.preempt(c);
+            self.dispatch(c);
             cpu = c + 1;
         }
-        // Fill any CPUs that went idle while no wake event fired (e.g.
-        // after a revocation shuffle). Offline-idle CPUs aren't on the
-        // free list, and dispatching them was already a no-op.
+    }
+
+    /// Dispatches idle online CPUs in ascending order while work is
+    /// queued.
+    pub(crate) fn fill_idle_cpus(&mut self) {
         let mut cpu = 0;
         while let Some(c) = self.sched.next_idle_cpu(cpu) {
             if self.sched.ready_count() == 0 {
@@ -231,10 +238,6 @@ impl Kernel {
             }
             self.dispatch(c);
             cpu = c + 1;
-        }
-        if self.live_procs > 0 {
-            self.events
-                .schedule(self.now + self.cfg.tuning.tick, Event::Tick);
         }
     }
 
@@ -256,25 +259,19 @@ impl Kernel {
         }
         let p = self.procs.get_mut(pid);
         p.cpu_time += consumed;
-        p.p_cpu += consumed.as_millis_f64();
         self.spu_cpu[p.spu.index()] += consumed;
         p.consume_cpu(consumed);
+        self.procs.charge_p_cpu(pid, consumed.as_millis_f64());
         if self.now >= slice_end {
-            // Slice expired: round-robin back through the run queue.
+            // Slice expired: round-robin back through the ready list.
             let c = self.sched.cpu_mut(cpu);
             c.running = None;
             c.gen += 1;
             let was_loaned = c.loaned;
             c.loaned = false;
             c.idle_since = Some(self.now);
-            self.sched.sync_cpu(cpu);
-            if let Some(requested) = self.revoke_requested[cpu].take() {
-                if was_loaned {
-                    let delay = self.now.saturating_since(requested);
-                    self.latency.revocation.add_duration(delay);
-                    self.attribute_revocation(cpu, pid, delay);
-                }
-            }
+            self.sched.sync_cpu(&self.procs, cpu);
+            self.complete_revocation(cpu, pid, was_loaned);
             let p = self.procs.get_mut(pid);
             p.state = ProcState::Ready;
             self.sched.enqueue(&mut self.procs, pid);

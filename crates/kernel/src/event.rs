@@ -80,15 +80,7 @@ impl Kernel {
             Event::Ipi => {
                 self.ipi_pending = false;
                 self.counters.add_id(self.counter_ids.sched_ipis, 1);
-                // Live sweep over the loaned list (see `on_tick`).
-                let mut cpu = 0;
-                while let Some(c) = self.sched.next_loaned_cpu(cpu) {
-                    if self.sched.needs_revocation(&self.procs, c) {
-                        self.preempt(c);
-                        self.dispatch(c);
-                    }
-                    cpu = c + 1;
-                }
+                self.revoke_loans();
             }
             Event::Sample => {
                 self.on_sample();

@@ -103,8 +103,6 @@ pub struct Kernel {
     pub(crate) latency: LatencyStats,
     /// Pending wake → dispatch measurements (latest wake wins).
     pub(crate) wake_pending: FastMap<Pid, SimTime>,
-    /// Per-CPU time a revocation became needed (cleared at deschedule).
-    pub(crate) revoke_requested: Vec<Option<SimTime>>,
     /// Cross-SPU interference attribution, `None` until
     /// [`enable_attribution`](Self::enable_attribution).
     pub(crate) attribution: Option<Attribution>,
@@ -321,7 +319,6 @@ impl Kernel {
             cpu_entitled: Vec::new(),
             latency: LatencyStats::new(),
             wake_pending: FastMap::default(),
-            revoke_requested: vec![None; cfg.cpus],
             attribution: None,
             slo_target: None,
             slo_samples: Vec::new(),
@@ -365,10 +362,13 @@ impl Kernel {
         self.now
     }
 
-    /// Debug invariants across subsystems (memory ledger vs frame
-    /// ownership). Cheap enough to call after every test run.
+    /// Debug invariants across subsystems: the memory ledger vs frame
+    /// ownership, and every scheduler index vs its from-scratch value
+    /// ([`Scheduler::check_invariants`]). Cheap enough to call after
+    /// every test run.
     pub fn check_invariants(&self) {
         self.vm.check_invariants();
+        self.sched.check_invariants(&self.procs);
     }
 
     /// Enables execution tracing of up to `cap` events (see

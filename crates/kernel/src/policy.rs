@@ -230,7 +230,7 @@ impl Kernel {
                 if self.sched.cpu(cpu).running.is_some() {
                     self.preempt(cpu);
                 }
-                self.sched.set_online(cpu, false);
+                self.sched.set_online(&self.procs, cpu, false);
                 self.rebalance_cpus();
             }
             FaultKind::CpuOnline { cpu } => {
@@ -243,7 +243,7 @@ impl Kernel {
                     label: "cpu-online",
                 });
                 self.counters.add_id(self.counter_ids.fault_cpu_online, 1);
-                self.sched.set_online(cpu, true);
+                self.sched.set_online(&self.procs, cpu, true);
                 self.rebalance_cpus();
             }
             FaultKind::ProcessCrash { user_spu } => self.crash_in_spu(user_spu),
@@ -319,7 +319,7 @@ impl Kernel {
     /// CPUs. Audits that the re-derived entitlements still fit the
     /// machine (conservation under reconfiguration).
     pub(crate) fn rebalance_cpus(&mut self) {
-        self.sched.rebalance(&mut self.procs);
+        self.sched.rebalance(&self.procs);
         let online = self.sched.online_count();
         if online == 0 {
             return;
@@ -340,22 +340,8 @@ impl Kernel {
                 .map(|id| partition.milli_cpus(id) as f64 / 1000.0)
                 .collect();
         }
-        let mut cpu = 0;
-        while let Some(c) = self.sched.next_loaned_cpu(cpu) {
-            if self.sched.needs_revocation(&self.procs, c) {
-                self.preempt(c);
-                self.dispatch(c);
-            }
-            cpu = c + 1;
-        }
-        let mut cpu = 0;
-        while let Some(c) = self.sched.next_idle_cpu(cpu) {
-            if self.sched.ready_count() == 0 {
-                break;
-            }
-            self.dispatch(c);
-            cpu = c + 1;
-        }
+        self.revoke_loans();
+        self.fill_idle_cpus();
     }
 
     /// Crashes the lowest-pid ready or running process of the given user
@@ -421,14 +407,7 @@ impl Kernel {
             self.make_ready(w);
         }
         self.exit_process(pid, true);
-        let mut cpu = 0;
-        while let Some(c) = self.sched.next_idle_cpu(cpu) {
-            if self.sched.ready_count() == 0 {
-                break;
-            }
-            self.dispatch(c);
-            cpu = c + 1;
-        }
+        self.fill_idle_cpus();
     }
 
     /// Spawns the antisocial fork-bomb workload in `user_spu`: a tree of

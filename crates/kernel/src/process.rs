@@ -154,16 +154,11 @@ pub struct Process {
     micro: VecDeque<MicroOp>,
     /// Scheduler state.
     pub state: ProcState,
-    /// Decayed CPU usage driving priority (lower = higher priority).
-    pub p_cpu: f64,
-    /// FIFO tie-break stamp maintained by the scheduler.
-    pub ready_seq: u64,
-    /// Per-CPU run queue currently holding this process, or
+    /// Slot on its SPU's ready list, or
     /// [`NO_QUEUE`](crate::sched::NO_QUEUE) when not queued. Maintained
-    /// by the scheduler so dequeue is O(1) instead of a queue scan.
+    /// by the scheduler (kept current under swap-removal) so dequeue is
+    /// O(1) instead of a list scan.
     pub(crate) run_q: u32,
-    /// Slot inside that queue (kept current under swap-removal).
-    pub(crate) run_q_slot: u32,
     /// Handle to this process's page table in the kernel's [`PageArena`].
     pub pages: PageSlab,
     /// Private outstanding disk operations ([`MicroOp::AwaitIo`]).
@@ -202,10 +197,7 @@ impl Process {
             pc: 0,
             micro: VecDeque::new(),
             state: ProcState::Ready,
-            p_cpu: 0.0,
-            ready_seq: 0,
             run_q: crate::sched::NO_QUEUE,
-            run_q_slot: 0,
             pages: PageSlab::NONE,
             pending_io: 0,
             io_errors: 0,

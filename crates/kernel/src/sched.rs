@@ -12,28 +12,42 @@
 //!
 //! # Scaling structure
 //!
-//! Ready processes live on **per-CPU run queues**: a wake-up places the
-//! process on the least-loaded online home CPU of its SPU, and a CPU's
-//! home pick scans only its SPU's home queues. Cross-SPU work stealing
-//! (the SMP global pick and the PIso idle-CPU loan) scans the non-empty
-//! queues — same-SPU work always wins first, and a stolen pick is
-//! marked `loaned` exactly as before. Because every pick minimizes the
-//! globally unique key `(priority band, ready_seq)` over the same
-//! candidate set the old per-SPU queues exposed, scheduling decisions
-//! are *byte-identical* to the single-queue scheduler; only the scan
-//! cost changes. Idle CPUs sit on an ordered free list so wake-up
-//! placement is O(log CPUs) instead of a linear availability scan, and
-//! CPUs running borrowed processes sit on a loaned list so revocation
-//! scans touch only actual loans.
-
-use std::collections::BTreeSet;
+//! Every decision costs time in the state that changed, not in the size
+//! of the machine:
+//!
+//! * **Per-SPU ready lists under a min-tree.** Each SPU has one
+//!   unordered ready list and caches its best `(priority band,
+//!   ready_seq)` key as the list's head. A fixed-size tournament tree
+//!   over the SPU indices holds the machine-wide best head at its root.
+//!   A home pick takes its SPU's head, the sibling steal the best of the
+//!   siblings' heads, and the SMP pick and the PIso loan the root. A
+//!   head changes only on enqueue, on removal of the head, and after
+//!   priority decay, which refreshes the heads of SPUs with ready work.
+//! * **Bitset CPU sets.** The idle, loaned, revocable and
+//!   revocation-requested CPUs are word bitsets, scanned in ascending
+//!   order with `trailing_zeros`.
+//! * **An exact revocable index.** CPU `c` is in the revocable set
+//!   exactly when [`Scheduler::needs_revocation`] holds for it. The
+//!   predicate reads `c`'s running, loaned and online state, its
+//!   assignment, and whether its home SPUs (and, on tenant trees, their
+//!   siblings) have ready work; `c` is re-evaluated whenever one of
+//!   those inputs changes: in [`sync_cpu`](Scheduler::sync_cpu), when an
+//!   SPU's ready count crosses zero, and on rebalance.
+//!
+//! Decisions are byte-identical to scanning every ready process and
+//! every loaned CPU: pick keys are unique (the FIFO stamp is unique per
+//! enqueue), so each pick minimizes over the same candidate set with no
+//! tie to reorder it, and each index is re-evaluated on every change to
+//! its inputs. `crates/kernel/tests/sched_equivalence.rs` checks this
+//! against a linear-scan reference model, and
+//! [`Scheduler::check_invariants`] re-derives every index from scratch.
 
 use event_sim::{SimDuration, SimTime};
 use spu_core::{CpuAssignment, CpuPartition, Scheme, SharedCpuRotor, SpuId, SpuSet};
 
 use crate::process::{Pid, ProcState, Process};
 
-/// Sentinel for "not on any run queue" in [`Process::run_q`].
+/// Sentinel for "not on any ready list" in [`Process::run_q`].
 pub(crate) const NO_QUEUE: u32 = u32::MAX;
 
 /// Per-tick multiplicative decay of `p_cpu` (half-life ≈ 1 s at a 10 ms
@@ -47,16 +61,28 @@ pub const P_CPU_DECAY: f64 = 0.9931;
 /// infinitesimally-less-used one always winning.
 pub const PRIORITY_BAND_MS: f64 = 120.0;
 
-/// The discrete priority of a process (lower wins).
-fn priority_band(p: &Process) -> i64 {
-    (p.p_cpu / PRIORITY_BAND_MS) as i64
+/// The discrete priority of a `p_cpu` value (lower wins).
+fn priority_band(p_cpu: f64) -> i64 {
+    (p_cpu / PRIORITY_BAND_MS) as i64
 }
+
+/// A queued process's pick key, `(priority band, ready_seq)`: lower
+/// wins. Stamps are unique per enqueue, so no two queued keys tie.
+type Key = (i64, u64);
+
+/// The key of an empty ready list; loses to every queued process.
+const NO_KEY: Key = (i64::MAX, u64::MAX);
 
 /// A process table indexed by [`Pid`]. Processes are never removed;
 /// exited processes stay in the `Done` state.
 #[derive(Debug, Default)]
 pub struct ProcTable {
     procs: Vec<Process>,
+    /// Decayed CPU usage per pid, in ms; lower is higher priority. A
+    /// dense column so decay is one pass, and private so only
+    /// [`charge_p_cpu`](Self::charge_p_cpu) and the scheduler's decay
+    /// change a key the ready-list heads cache.
+    p_cpu: Vec<f64>,
 }
 
 impl ProcTable {
@@ -79,6 +105,7 @@ impl ProcTable {
         assert_eq!(p.pid, self.next_pid(), "pid mismatch");
         let pid = p.pid;
         self.procs.push(p);
+        self.p_cpu.push(0.0);
         pid
     }
 
@@ -92,14 +119,29 @@ impl ProcTable {
         &mut self.procs[pid.0 as usize]
     }
 
+    /// A process's decayed CPU usage in ms (lower = higher priority).
+    pub fn p_cpu(&self, pid: Pid) -> f64 {
+        self.p_cpu[pid.0 as usize]
+    }
+
+    /// Adds `ms` of consumed CPU to a process's usage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is queued: its key is cached by its ready
+    /// list, so it may only change while the process is off the lists.
+    pub fn charge_p_cpu(&mut self, pid: Pid, ms: f64) {
+        assert_eq!(
+            self.get(pid).run_q,
+            NO_QUEUE,
+            "{pid:?} charged while queued"
+        );
+        self.p_cpu[pid.0 as usize] += ms;
+    }
+
     /// Iterates over all processes.
     pub fn iter(&self) -> impl Iterator<Item = &Process> {
         self.procs.iter()
-    }
-
-    /// Iterates mutably over all processes.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Process> {
-        self.procs.iter_mut()
     }
 
     /// Number of processes ever created.
@@ -110,6 +152,10 @@ impl ProcTable {
     /// True when no process was ever created.
     pub fn is_empty(&self) -> bool {
         self.procs.is_empty()
+    }
+
+    fn key(&self, seq: u64, pid: Pid) -> Key {
+        (priority_band(self.p_cpu(pid)), seq)
     }
 }
 
@@ -172,6 +218,127 @@ impl CpuState {
     }
 }
 
+/// A set of CPU indices as a word bitset, iterated in ascending order.
+#[derive(Debug)]
+struct CpuSet {
+    words: Vec<u64>,
+}
+
+impl CpuSet {
+    fn new(n: usize) -> Self {
+        CpuSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        if on {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    /// The lowest member `>= from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
+/// One SPU's ready processes.
+#[derive(Debug)]
+struct ReadyList {
+    /// `(ready_seq, pid)` of every queued process, in no order; a
+    /// process's slot is its [`Process::run_q`].
+    entries: Vec<(u64, Pid)>,
+    /// The list's best key and its process (`NO_KEY` when empty).
+    head: (Key, Pid),
+}
+
+impl ReadyList {
+    const EMPTY_HEAD: (Key, Pid) = (NO_KEY, Pid(u32::MAX));
+
+    /// The best key on the list, recomputed from scratch.
+    fn best(&self, procs: &ProcTable) -> (Key, Pid) {
+        let mut best = Self::EMPTY_HEAD;
+        for &(seq, pid) in &self.entries {
+            let key = procs.key(seq, pid);
+            if key < best.0 {
+                best = (key, pid);
+            }
+        }
+        best
+    }
+}
+
+/// A fixed-size tournament tree over SPU indices: leaf `s` holds SPU
+/// `s`'s head key and every inner node the smaller of its two children,
+/// so the root is the best queued process machine-wide.
+#[derive(Debug)]
+struct MinTree {
+    /// Heap layout: the root at 1, node `i`'s children at `2i` and
+    /// `2i + 1`, leaf `s` at `leaves + s`.
+    nodes: Vec<(Key, u32)>,
+    leaves: usize,
+}
+
+impl MinTree {
+    fn new(n: usize) -> Self {
+        let leaves = n.next_power_of_two();
+        let mut nodes = vec![(NO_KEY, u32::MAX); 2 * leaves];
+        for (s, node) in nodes[leaves..].iter_mut().enumerate() {
+            node.1 = s as u32;
+        }
+        for i in (1..leaves).rev() {
+            nodes[i] = nodes[2 * i].min(nodes[2 * i + 1]);
+        }
+        MinTree { nodes, leaves }
+    }
+
+    /// Sets leaf `s`'s key and replays the matches above it, stopping
+    /// at the first node whose winner does not change.
+    fn set(&mut self, s: usize, key: Key) {
+        let mut i = self.leaves + s;
+        self.nodes[i] = (key, s as u32);
+        while i > 1 {
+            i /= 2;
+            let winner = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            if self.nodes[i] == winner {
+                break;
+            }
+            self.nodes[i] = winner;
+        }
+    }
+
+    /// The SPU index holding the best key, if any list is non-empty.
+    fn min(&self) -> Option<usize> {
+        let (key, s) = self.nodes[1];
+        (key != NO_KEY).then_some(s as usize)
+    }
+
+    fn leaf(&self, s: usize) -> Key {
+        self.nodes[self.leaves + s].0
+    }
+
+    fn check(&self) {
+        for i in 1..self.leaves {
+            let winner = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            assert_eq!(self.nodes[i], winner, "min-tree node {i} is stale");
+        }
+    }
+}
+
 /// The machine-wide CPU scheduler.
 ///
 /// # Examples
@@ -188,22 +355,28 @@ impl CpuState {
 pub struct Scheduler {
     scheme: Scheme,
     cpus: Vec<CpuState>,
-    /// Per-CPU run queues, plus one trailing queue for processes whose
-    /// SPU has no home CPU (kernel/shared-SPU work).
-    queues: Vec<Vec<Pid>>,
-    /// Queues with at least one entry; global scans skip the rest.
-    busy_queues: BTreeSet<usize>,
-    /// Ready-process count per SPU (dense [`SpuId::index`]).
-    spu_ready: Vec<u32>,
+    /// One ready list per SPU (dense [`SpuId::index`]).
+    ready: Vec<ReadyList>,
+    /// Tournament tree over the ready lists' heads.
+    heads: MinTree,
     /// Total queued processes.
     total_ready: usize,
-    /// Home CPUs of each SPU in ascending CPU index; rebuilt on
-    /// rebalance.
+    /// The CPUs whose assignment names each SPU, in ascending CPU
+    /// index; rebuilt on rebalance. Offline CPUs keep a stale
+    /// assignment, but they are never idle and never revocable.
     spu_home: Vec<Vec<u32>>,
-    /// The idle free list: online CPUs with no running process.
-    idle: BTreeSet<usize>,
-    /// Online CPUs currently running a borrowed (loaned) process.
-    loaned: BTreeSet<usize>,
+    /// Online CPUs with no running process.
+    idle: CpuSet,
+    /// Online CPUs running a borrowed (loaned) process.
+    loaned: CpuSet,
+    /// CPUs for which [`needs_revocation`](Self::needs_revocation)
+    /// holds.
+    revocable: CpuSet,
+    /// CPUs with a revocation-latency stamp in `stamps`.
+    requested: CpuSet,
+    /// Per-CPU time a revocation became needed, cleared when the
+    /// borrower leaves the CPU.
+    stamps: Vec<Option<SimTime>>,
     seq: u64,
     spus: SpuSet,
 }
@@ -212,6 +385,7 @@ impl Scheduler {
     /// Creates the scheduler, computing the hybrid CPU partition.
     pub fn new(scheme: Scheme, n_cpus: usize, spus: &SpuSet) -> Self {
         let partition = CpuPartition::compute(n_cpus, spus);
+        let n_spus = spus.total_count();
         let mut s = Scheduler {
             scheme,
             cpus: partition
@@ -220,30 +394,37 @@ impl Scheduler {
                 .cloned()
                 .map(CpuState::new)
                 .collect(),
-            queues: vec![Vec::new(); n_cpus + 1],
-            busy_queues: BTreeSet::new(),
-            spu_ready: vec![0; spus.total_count()],
+            ready: (0..n_spus)
+                .map(|_| ReadyList {
+                    entries: Vec::new(),
+                    head: ReadyList::EMPTY_HEAD,
+                })
+                .collect(),
+            heads: MinTree::new(n_spus),
             total_ready: 0,
-            spu_home: vec![Vec::new(); spus.total_count()],
-            idle: (0..n_cpus).collect(),
-            loaned: BTreeSet::new(),
+            spu_home: vec![Vec::new(); n_spus],
+            idle: CpuSet::new(n_cpus),
+            loaned: CpuSet::new(n_cpus),
+            revocable: CpuSet::new(n_cpus),
+            requested: CpuSet::new(n_cpus),
+            stamps: vec![None; n_cpus],
             seq: 0,
             spus: spus.clone(),
         };
+        for i in 0..n_cpus {
+            s.idle.set(i, true);
+        }
         s.rebuild_homes();
         s
     }
 
-    /// Rebuilds the SPU → home-CPU index from the online CPUs'
-    /// assignments (ascending CPU order).
+    /// Rebuilds the SPU → home-CPU index from the CPUs' assignments
+    /// (ascending CPU order).
     fn rebuild_homes(&mut self) {
         for home in &mut self.spu_home {
             home.clear();
         }
         for (i, c) in self.cpus.iter().enumerate() {
-            if !c.online {
-                continue;
-            }
             match &c.assignment {
                 CpuAssignment::Dedicated(spu) => self.spu_home[spu.index()].push(i as u32),
                 CpuAssignment::TimeShared(entries) => {
@@ -255,33 +436,90 @@ impl Scheduler {
         }
     }
 
-    /// Reconciles the idle free list and the loaned list with a CPU's
+    /// Reconciles the idle, loaned and revocable sets with a CPU's
     /// state. Call after mutating `running`, `loaned` or `online`
     /// outside the scheduler's own methods.
-    pub fn sync_cpu(&mut self, i: usize) {
+    pub fn sync_cpu(&mut self, procs: &ProcTable, i: usize) {
         let c = &self.cpus[i];
-        if c.is_available() {
-            self.idle.insert(i);
-        } else {
-            self.idle.remove(&i);
-        }
-        if c.online && c.loaned && c.running.is_some() {
-            self.loaned.insert(i);
-        } else {
-            self.loaned.remove(&i);
+        self.idle.set(i, c.is_available());
+        self.loaned
+            .set(i, c.online && c.loaned && c.running.is_some());
+        let revocable = self.needs_revocation(procs, i);
+        self.revocable.set(i, revocable);
+    }
+
+    /// Re-evaluates the revocable bit of every CPU whose predicate reads
+    /// `spu`'s ready count, after that count crossed zero: `spu`'s home
+    /// CPUs and, on tenant trees, its siblings' home CPUs.
+    fn ready_crossed_zero(&mut self, procs: &ProcTable, spu: SpuId) {
+        let Scheduler {
+            cpus,
+            ready,
+            spu_home,
+            revocable,
+            spus,
+            ..
+        } = self;
+        let mut reevaluate = |s: SpuId| {
+            for &c in &spu_home[s.index()] {
+                let c = c as usize;
+                revocable.set(c, revocation_needed(&cpus[c], ready, spus, procs));
+            }
+        };
+        reevaluate(spu);
+        if let Some(tree) = spus.tree() {
+            for s in tree.siblings(spu) {
+                reevaluate(s);
+            }
         }
     }
 
-    /// The lowest loaned CPU index `>= from`, reading live state so
-    /// revocation sweeps match a full ascending scan exactly.
+    /// The lowest loaned CPU index `>= from`.
     pub fn next_loaned_cpu(&self, from: usize) -> Option<usize> {
-        self.loaned.range(from..).next().copied()
+        self.loaned.next_from(from)
     }
 
-    /// The lowest idle online CPU index `>= from` (live view of the
-    /// free list).
+    /// The lowest revocable CPU index `>= from` (one for which
+    /// [`needs_revocation`](Self::needs_revocation) holds). The set is
+    /// live, so a sweep that dispatches as it goes sees the loans its
+    /// own dispatches create.
+    pub fn next_revocable_cpu(&self, from: usize) -> Option<usize> {
+        self.revocable.next_from(from)
+    }
+
+    /// The lowest idle online CPU index `>= from`.
     pub fn next_idle_cpu(&self, from: usize) -> Option<usize> {
-        self.idle.range(from..).next().copied()
+        self.idle.next_from(from)
+    }
+
+    /// Stamps every revocable CPU that has no revocation stamp yet with
+    /// `now`, starting its revocation-latency clock, and returns whether
+    /// any CPU is revocable.
+    pub fn mark_revocable(&mut self, now: SimTime) -> bool {
+        let mut any = false;
+        let words = self.revocable.words.iter().zip(&mut self.requested.words);
+        for (w, (&revocable, requested)) in words.enumerate() {
+            any |= revocable != 0;
+            let mut fresh = revocable & !*requested;
+            *requested |= fresh;
+            while fresh != 0 {
+                self.stamps[w * 64 + fresh.trailing_zeros() as usize] = Some(now);
+                fresh &= fresh - 1;
+            }
+        }
+        any
+    }
+
+    /// When CPU `cpu`'s pending revocation was requested, if one is.
+    pub fn revoke_request(&self, cpu: usize) -> Option<SimTime> {
+        self.stamps[cpu]
+    }
+
+    /// Clears and returns CPU `cpu`'s revocation stamp. Call when the
+    /// running process leaves the CPU.
+    pub fn take_revoke_request(&mut self, cpu: usize) -> Option<SimTime> {
+        self.requested.set(cpu, false);
+        self.stamps[cpu].take()
     }
 
     /// Number of CPUs.
@@ -299,72 +537,58 @@ impl Scheduler {
         &mut self.cpus[i]
     }
 
-    /// Puts a ready process on a run queue: the least-loaded online home
-    /// CPU of its SPU (ties to the lowest index), or the homeless queue
-    /// when its SPU has no home CPU.
+    /// Puts a ready process on its SPU's ready list behind every
+    /// process already queued in its priority band.
     ///
     /// # Panics
     ///
-    /// Panics if the process is not in the `Ready` state or already
-    /// queued.
+    /// Panics if the process is not in the `Ready` state.
     pub fn enqueue(&mut self, procs: &mut ProcTable, pid: Pid) {
         let p = procs.get_mut(pid);
         assert_eq!(p.state, ProcState::Ready, "enqueue of non-ready {pid:?}");
-        let spu = p.spu;
-        p.ready_seq = self.seq;
-        self.seq += 1;
         debug_assert_eq!(p.run_q, NO_QUEUE, "{pid:?} queued twice");
-        let q = self.place(spu);
-        self.push_to(procs, q, pid);
-    }
-
-    /// The queue a newly ready process of `spu` lands on.
-    fn place(&self, spu: SpuId) -> usize {
-        let mut best: Option<(usize, usize)> = None; // (len, queue)
-        for &c in &self.spu_home[spu.index()] {
-            let len = self.queues[c as usize].len();
-            if len == 0 {
-                return c as usize;
-            }
-            if best.is_none_or(|(bl, _)| len < bl) {
-                best = Some((len, c as usize));
-            }
-        }
-        best.map(|(_, q)| q).unwrap_or(self.queues.len() - 1)
-    }
-
-    fn push_to(&mut self, procs: &mut ProcTable, q: usize, pid: Pid) {
-        let p = procs.get_mut(pid);
         let spu = p.spu;
-        p.run_q = q as u32;
-        p.run_q_slot = self.queues[q].len() as u32;
-        self.queues[q].push(pid);
-        self.busy_queues.insert(q);
-        self.spu_ready[spu.index()] += 1;
+        let seq = self.seq;
+        self.seq += 1;
+        let list = &mut self.ready[spu.index()];
+        p.run_q = list.entries.len() as u32;
+        list.entries.push((seq, pid));
         self.total_ready += 1;
+        let key = procs.key(seq, pid);
+        if key < list.head.0 {
+            list.head = (key, pid);
+            self.heads.set(spu.index(), key);
+        }
+        if list.entries.len() == 1 {
+            self.ready_crossed_zero(procs, spu);
+        }
     }
 
-    /// Removes the entry at `(q, slot)`, patching the swapped-in
-    /// element's membership record.
-    fn remove_at(&mut self, procs: &mut ProcTable, q: usize, slot: usize) -> Pid {
-        let queue = &mut self.queues[q];
-        let pid = queue.swap_remove(slot);
-        if let Some(&moved) = queue.get(slot) {
-            procs.get_mut(moved).run_q_slot = slot as u32;
-        }
-        if queue.is_empty() {
-            self.busy_queues.remove(&q);
-        }
+    /// Removes a queued process from its SPU's list, patching the
+    /// swapped-in entry's slot and the list's head.
+    fn remove(&mut self, procs: &mut ProcTable, pid: Pid) {
         let p = procs.get_mut(pid);
+        let (spu, slot) = (p.spu, p.run_q as usize);
         p.run_q = NO_QUEUE;
-        self.spu_ready[p.spu.index()] -= 1;
+        let list = &mut self.ready[spu.index()];
+        debug_assert_eq!(list.entries[slot].1, pid, "stale ready-list slot");
+        list.entries.swap_remove(slot);
+        if let Some(&(_, moved)) = list.entries.get(slot) {
+            procs.get_mut(moved).run_q = slot as u32;
+        }
         self.total_ready -= 1;
-        pid
+        if list.head.1 == pid {
+            list.head = list.best(procs);
+            self.heads.set(spu.index(), list.head.0);
+        }
+        if list.entries.is_empty() {
+            self.ready_crossed_zero(procs, spu);
+        }
     }
 
     /// Whether any process is queued for `spu`.
     pub fn has_ready(&self, spu: SpuId) -> bool {
-        self.spu_ready[spu.index()] > 0
+        !self.ready[spu.index()].entries.is_empty()
     }
 
     /// Total queued processes.
@@ -373,101 +597,49 @@ impl Scheduler {
     }
 
     /// Removes and returns the highest-priority ready process of `spu`
-    /// (lowest priority band, then FIFO), scanning only the SPU's home
-    /// queues.
+    /// (lowest priority band, then FIFO): its list's head.
     fn take_best_of(&mut self, procs: &mut ProcTable, spu: SpuId) -> Option<Pid> {
-        if self.spu_ready[spu.index()] == 0 {
+        let (key, pid) = self.ready[spu.index()].head;
+        if key == NO_KEY {
             return None;
         }
-        let homeless = [(self.queues.len() - 1) as u32];
-        let home = &self.spu_home[spu.index()];
-        let candidates: &[u32] = if home.is_empty() { &homeless } else { home };
-        let mut best: Option<(i64, u64, usize, usize)> = None;
-        for &qi in candidates {
-            for (slot, &pid) in self.queues[qi as usize].iter().enumerate() {
-                let p = procs.get(pid);
-                if p.spu != spu {
-                    continue;
-                }
-                let key = (priority_band(p), p.ready_seq);
-                if best.is_none_or(|(bb, bs, _, _)| key < (bb, bs)) {
-                    best = Some((key.0, key.1, qi as usize, slot));
-                }
-            }
-        }
-        let (_, _, q, slot) = best?;
-        Some(self.remove_at(procs, q, slot))
+        self.remove(procs, pid);
+        Some(pid)
     }
 
     /// Removes and returns the globally highest-priority ready process
-    /// (the cross-SPU steal), scanning only non-empty queues.
+    /// (the cross-SPU steal): the min-tree's root.
     fn take_best_global(&mut self, procs: &mut ProcTable) -> Option<Pid> {
-        if self.total_ready == 0 {
-            return None;
-        }
-        let mut best: Option<(i64, u64, usize, usize)> = None;
-        for &q in &self.busy_queues {
-            for (slot, &pid) in self.queues[q].iter().enumerate() {
-                let p = procs.get(pid);
-                let key = (priority_band(p), p.ready_seq);
-                if best.is_none_or(|(bb, bs, _, _)| key < (bb, bs)) {
-                    best = Some((key.0, key.1, q, slot));
-                }
-            }
-        }
-        let (_, _, q, slot) = best?;
-        Some(self.remove_at(procs, q, slot))
-    }
-
-    /// Ready sibling SPUs (same tenant, self excluded) of a CPU's home
-    /// SPUs, deduplicated in ascending user-index order. Empty on flat
-    /// SPU sets.
-    fn sibling_candidates(&self, cpu_idx: usize) -> Vec<SpuId> {
-        let Some(tree) = self.spus.tree() else {
-            return Vec::new();
-        };
-        let mut out: Vec<SpuId> = Vec::new();
-        let add = |home: SpuId, out: &mut Vec<SpuId>| {
-            for s in tree.siblings(home) {
-                if self.spu_ready[s.index()] > 0 && !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        };
-        match &self.cpus[cpu_idx].assignment {
-            CpuAssignment::Dedicated(spu) => add(*spu, &mut out),
-            CpuAssignment::TimeShared(entries) => {
-                for (spu, _) in entries {
-                    add(*spu, &mut out);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        let spu = self.heads.min()?;
+        let pid = self.ready[spu].head.1;
+        self.remove(procs, pid);
+        Some(pid)
     }
 
     /// Removes and returns the highest-priority ready process among the
-    /// given SPUs (the intra-tenant steal), scanning only non-empty
-    /// queues.
-    fn take_best_among(&mut self, procs: &mut ProcTable, spus: &[SpuId]) -> Option<Pid> {
-        if spus.iter().all(|s| self.spu_ready[s.index()] == 0) {
-            return None;
-        }
-        let mut best: Option<(i64, u64, usize, usize)> = None;
-        for &q in &self.busy_queues {
-            for (slot, &pid) in self.queues[q].iter().enumerate() {
-                let p = procs.get(pid);
-                if !spus.contains(&p.spu) {
-                    continue;
-                }
-                let key = (priority_band(p), p.ready_seq);
-                if best.is_none_or(|(bb, bs, _, _)| key < (bb, bs)) {
-                    best = Some((key.0, key.1, q, slot));
+    /// sibling services (same tenant, self excluded) of a CPU's home
+    /// SPUs: the intra-tenant steal. `None` on flat SPU sets.
+    fn take_best_sibling(&mut self, procs: &mut ProcTable, cpu_idx: usize) -> Option<Pid> {
+        let tree = self.spus.tree()?;
+        let mut best = ReadyList::EMPTY_HEAD;
+        let mut consider = |home: SpuId| {
+            for s in tree.siblings(home) {
+                best = best.min(self.ready[s.index()].head);
+            }
+        };
+        match &self.cpus[cpu_idx].assignment {
+            CpuAssignment::Dedicated(spu) => consider(*spu),
+            CpuAssignment::TimeShared(entries) => {
+                for (spu, _) in entries {
+                    consider(*spu);
                 }
             }
         }
-        let (_, _, q, slot) = best?;
-        Some(self.remove_at(procs, q, slot))
+        if best.0 == NO_KEY {
+            return None;
+        }
+        self.remove(procs, best.1);
+        Some(best.1)
     }
 
     /// Chooses the next process for CPU `cpu_idx` following the scheme's
@@ -482,30 +654,26 @@ impl Scheduler {
             return self.take_best_global(procs).map(|pid| (pid, false));
         }
         // Home pick.
-        let assignment = self.cpus[cpu_idx].assignment.clone();
-        let home = match assignment {
-            CpuAssignment::Dedicated(spu) => self.take_best_of(procs, spu),
+        let granted = match self.cpus[cpu_idx].assignment {
+            CpuAssignment::Dedicated(spu) => Some(spu),
             CpuAssignment::TimeShared(_) => {
                 let mut rotor = self.cpus[cpu_idx].rotor.take();
                 let granted = rotor
                     .as_mut()
-                    .and_then(|r| r.grant(|spu| self.spu_ready[spu.index()] > 0));
+                    .and_then(|r| r.grant(|spu| self.has_ready(spu)));
                 self.cpus[cpu_idx].rotor = rotor;
-                granted.and_then(|spu| self.take_best_of(procs, spu))
+                granted
             }
         };
-        if let Some(pid) = home {
+        if let Some(pid) = granted.and_then(|spu| self.take_best_of(procs, spu)) {
             return Some((pid, false));
         }
         if self.scheme == Scheme::PIso {
             // Hierarchical sets relax the restriction in two steps: an
             // idle CPU offers itself to its tenant's other services
             // (sibling-first lending) before escalating machine-wide.
-            if self.spus.is_hierarchical() {
-                let siblings = self.sibling_candidates(cpu_idx);
-                if let Some(pid) = self.take_best_among(procs, &siblings) {
-                    return Some((pid, true));
-                }
+            if let Some(pid) = self.take_best_sibling(procs, cpu_idx) {
+                return Some((pid, true));
             }
             // Idle CPU: relax the SPU restriction and loan the CPU to the
             // highest-priority process of any SPU.
@@ -515,91 +683,55 @@ impl Scheduler {
     }
 
     /// Finds an idle CPU suitable for a newly runnable process of `spu`
-    /// via the free list: the lowest-index idle home CPU first, then
+    /// via the idle set: the lowest-index idle home CPU first, then
     /// (hierarchical PIso) the lowest-index idle CPU homed to a sibling
     /// service, then (PIso/SMP) the lowest-index idle CPU overall.
     pub fn find_idle_for(&self, spu: SpuId) -> Option<usize> {
+        let first_idle = |s: SpuId| {
+            self.spu_home[s.index()]
+                .iter()
+                .map(|&c| c as usize)
+                .find(|&c| self.idle.contains(c))
+        };
         if self.scheme != Scheme::Smp {
-            let mut best: Option<usize> = None;
-            for &c in &self.spu_home[spu.index()] {
-                if self.idle.contains(&(c as usize)) && best.is_none_or(|b| (c as usize) < b) {
-                    best = Some(c as usize);
-                }
-            }
-            if best.is_some() {
-                return best;
+            if let Some(c) = first_idle(spu) {
+                return Some(c);
             }
         }
         if self.scheme == Scheme::PIso {
             if let Some(tree) = self.spus.tree() {
                 // Borrow from the tenant's own pool before a stranger's.
-                let mut best: Option<usize> = None;
-                for s in tree.siblings(spu) {
-                    for &c in &self.spu_home[s.index()] {
-                        if self.idle.contains(&(c as usize))
-                            && best.is_none_or(|b| (c as usize) < b)
-                        {
-                            best = Some(c as usize);
-                        }
-                    }
-                }
-                if best.is_some() {
-                    return best;
+                if let Some(c) = tree.siblings(spu).filter_map(first_idle).min() {
+                    return Some(c);
                 }
             }
         }
         if self.scheme.shares_idle_resources() || !spu.is_user() {
-            self.idle.first().copied()
+            self.idle.next_from(0)
         } else {
             None
         }
     }
 
     /// Whether a loaned CPU should be revoked: it runs a borrowed process
-    /// while a home-SPU process waits and no home CPU is free (§3.1).
-    /// On hierarchical SPU sets a CPU loaned *outside* its tenant is also
-    /// revoked when a sibling service of its home has waiting work — the
-    /// loan should have stayed inside the tenant. Intra-tenant loans
-    /// stand against sibling demand (only home demand reclaims them).
+    /// while a home-SPU process waits (§3.1). On hierarchical SPU sets a
+    /// CPU loaned *outside* its tenant is also revoked when a sibling
+    /// service of its home has waiting work — the loan should have
+    /// stayed inside the tenant. Intra-tenant loans stand against
+    /// sibling demand (only home demand reclaims them).
+    ///
+    /// Evaluated from scratch; the sweeps read the same answer from the
+    /// revocable set ([`next_revocable_cpu`](Self::next_revocable_cpu)).
     pub fn needs_revocation(&self, procs: &ProcTable, cpu_idx: usize) -> bool {
-        let c = &self.cpus[cpu_idx];
-        let Some(running) = c.running else {
-            return false;
-        };
-        if !c.online || !c.loaned {
-            return false;
-        }
-        let home_ready = match &c.assignment {
-            CpuAssignment::Dedicated(spu) => self.spu_ready[spu.index()] > 0,
-            CpuAssignment::TimeShared(entries) => entries
-                .iter()
-                .any(|(spu, _)| self.spu_ready[spu.index()] > 0),
-        };
-        if home_ready {
-            return true;
-        }
-        let Some(tree) = self.spus.tree() else {
-            return false;
-        };
-        let running_spu = procs.get(running).spu;
-        let sibling_waits = |home: SpuId| {
-            !tree.same_tenant(home, running_spu)
-                && tree.siblings(home).any(|s| self.spu_ready[s.index()] > 0)
-        };
-        match &c.assignment {
-            CpuAssignment::Dedicated(spu) => sibling_waits(*spu),
-            CpuAssignment::TimeShared(entries) => {
-                entries.iter().any(|(spu, _)| sibling_waits(*spu))
-            }
-        }
+        revocation_needed(&self.cpus[cpu_idx], &self.ready, &self.spus, procs)
     }
 
-    /// Marks a CPU online or offline (updating the free list). The
+    /// Marks a CPU online or offline (updating the CPU sets). The
     /// caller handles preempting a running process and rebalancing the
     /// partition.
-    pub fn set_online(&mut self, cpu_idx: usize, online: bool) {
+    pub fn set_online(&mut self, procs: &ProcTable, cpu_idx: usize, online: bool) {
         self.cpus[cpu_idx].online = online;
-        self.sync_cpu(cpu_idx);
+        self.sync_cpu(procs, cpu_idx);
     }
 
     /// Number of online CPUs.
@@ -612,10 +744,9 @@ impl Scheduler {
     /// a stale assignment but can never be picked). Loan flags of
     /// running processes are recomputed against the new homes, so
     /// [`needs_revocation`](Self::needs_revocation) revokes loans that
-    /// exceed an SPU's shrunken share. Queued processes are re-placed on
-    /// their SPUs' new home CPUs in arrival order (their FIFO stamps are
-    /// preserved).
-    pub fn rebalance(&mut self, procs: &mut ProcTable) {
+    /// exceed an SPU's shrunken share. Queued processes stay on their
+    /// SPUs' lists with their FIFO stamps.
+    pub fn rebalance(&mut self, procs: &ProcTable) {
         let online: Vec<usize> = (0..self.cpus.len())
             .filter(|&i| self.cpus[i].online)
             .collect();
@@ -636,48 +767,114 @@ impl Scheduler {
             }
         }
         self.rebuild_homes();
-        // Membership must follow the new partition: drain every queue
-        // and re-place in arrival order without re-stamping.
-        let mut queued: Vec<Pid> = Vec::with_capacity(self.total_ready);
-        for q in 0..self.queues.len() {
-            queued.append(&mut self.queues[q]);
-        }
-        queued.sort_unstable_by_key(|&pid| procs.get(pid).ready_seq);
-        self.busy_queues.clear();
-        self.spu_ready.fill(0);
-        self.total_ready = 0;
-        for pid in queued {
-            let q = self.place(procs.get(pid).spu);
-            self.push_to(procs, q, pid);
-        }
         for i in 0..self.cpus.len() {
-            self.sync_cpu(i);
+            self.sync_cpu(procs, i);
         }
     }
 
-    /// Removes a queued process from its run queue (crash recovery) in
-    /// O(1) via its membership record. Returns whether it was queued.
+    /// Removes a queued process from its ready list (crash recovery) in
+    /// O(1) via its slot record. Returns whether it was queued.
     pub fn dequeue(&mut self, procs: &mut ProcTable, pid: Pid) -> bool {
-        let p = procs.get(pid);
-        if p.run_q == NO_QUEUE {
+        if procs.get(pid).run_q == NO_QUEUE {
             return false;
         }
-        let (q, slot) = (p.run_q as usize, p.run_q_slot as usize);
-        debug_assert_eq!(self.queues[q][slot], pid, "stale queue membership");
-        self.remove_at(procs, q, slot);
+        self.remove(procs, pid);
         true
     }
 
-    /// Applies priority decay to every process (called each tick).
-    pub fn decay_priorities(&self, procs: &mut ProcTable) {
-        for p in procs.iter_mut() {
-            p.p_cpu *= P_CPU_DECAY;
+    /// Applies priority decay to every process (called each tick), then
+    /// refreshes the heads of the SPUs with ready work: decay can move a
+    /// queued process into a better band.
+    pub fn decay_priorities(&mut self, procs: &mut ProcTable) {
+        for p in &mut procs.p_cpu {
+            *p *= P_CPU_DECAY;
+        }
+        for (s, list) in self.ready.iter_mut().enumerate() {
+            if list.entries.is_empty() {
+                continue;
+            }
+            let head = list.best(procs);
+            if head != list.head {
+                list.head = head;
+                self.heads.set(s, head.0);
+            }
         }
     }
 
     /// The scheme in force.
     pub fn scheme(&self) -> Scheme {
         self.scheme
+    }
+
+    /// Asserts that every index equals its from-scratch value: each
+    /// ready list's slots, head and count; the min-tree over the heads;
+    /// the idle and loaned sets against the CPU flags; the revocable set
+    /// against [`needs_revocation`](Self::needs_revocation); and the
+    /// requested set against the stamps.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first index that disagrees.
+    pub fn check_invariants(&self, procs: &ProcTable) {
+        let mut queued = 0;
+        for (s, list) in self.ready.iter().enumerate() {
+            for (slot, &(_, pid)) in list.entries.iter().enumerate() {
+                let p = procs.get(pid);
+                assert_eq!(p.spu.index(), s, "{pid:?} on another SPU's list");
+                assert_eq!(p.run_q as usize, slot, "{pid:?} has a stale slot");
+                assert_eq!(p.state, ProcState::Ready, "{pid:?} queued but not ready");
+            }
+            assert_eq!(list.head, list.best(procs), "stale head of SPU {s}");
+            assert_eq!(self.heads.leaf(s), list.head.0, "stale leaf of SPU {s}");
+            queued += list.entries.len();
+        }
+        self.heads.check();
+        assert_eq!(queued, self.total_ready, "ready count drifted");
+        let marked = procs.iter().filter(|p| p.run_q != NO_QUEUE).count();
+        assert_eq!(marked, self.total_ready, "processes marked queued");
+        for (i, c) in self.cpus.iter().enumerate() {
+            assert_eq!(self.idle.contains(i), c.is_available(), "idle bit of {i}");
+            let loaned = c.online && c.loaned && c.running.is_some();
+            assert_eq!(self.loaned.contains(i), loaned, "loaned bit of {i}");
+            let revocable = self.needs_revocation(procs, i);
+            assert_eq!(
+                self.revocable.contains(i),
+                revocable,
+                "revocable bit of {i}"
+            );
+            let stamped = self.stamps[i].is_some();
+            assert_eq!(self.requested.contains(i), stamped, "requested bit of {i}");
+        }
+    }
+}
+
+/// The revocation predicate of [`Scheduler::needs_revocation`] over the
+/// pieces it reads, so index maintenance can evaluate it while holding
+/// the revocable set mutably.
+fn revocation_needed(c: &CpuState, ready: &[ReadyList], spus: &SpuSet, procs: &ProcTable) -> bool {
+    let Some(running) = c.running else {
+        return false;
+    };
+    if !c.online || !c.loaned {
+        return false;
+    }
+    let waiting = |spu: SpuId| !ready[spu.index()].entries.is_empty();
+    let home_ready = match &c.assignment {
+        CpuAssignment::Dedicated(spu) => waiting(*spu),
+        CpuAssignment::TimeShared(entries) => entries.iter().any(|(spu, _)| waiting(*spu)),
+    };
+    if home_ready {
+        return true;
+    }
+    let Some(tree) = spus.tree() else {
+        return false;
+    };
+    let running_spu = procs.get(running).spu;
+    let sibling_waits =
+        |home: SpuId| !tree.same_tenant(home, running_spu) && tree.siblings(home).any(waiting);
+    match &c.assignment {
+        CpuAssignment::Dedicated(spu) => sibling_waits(*spu),
+        CpuAssignment::TimeShared(entries) => entries.iter().any(|(spu, _)| sibling_waits(*spu)),
     }
 }
 
@@ -708,8 +905,8 @@ mod tests {
         let spus = SpuSet::equal_users(2);
         let mut s = Scheduler::new(Scheme::Smp, 2, &spus);
         let mut procs = table_with(2, |i| SpuId::user(i % 2));
-        procs.get_mut(Pid(0)).p_cpu = 500.0;
-        procs.get_mut(Pid(1)).p_cpu = 1.0;
+        procs.charge_p_cpu(Pid(0), 500.0);
+        procs.charge_p_cpu(Pid(1), 1.0);
         s.enqueue(&mut procs, Pid(0));
         s.enqueue(&mut procs, Pid(1));
         let (pid, loaned) = s.pick(&mut procs, 0).unwrap();
@@ -754,8 +951,7 @@ mod tests {
         let mut s = Scheduler::new(Scheme::PIso, 2, &spus);
         let mut procs = table_with(2, SpuId::user);
         // Foreign process has much better priority...
-        procs.get_mut(Pid(1)).p_cpu = 0.0;
-        procs.get_mut(Pid(0)).p_cpu = 50.0;
+        procs.charge_p_cpu(Pid(0), 50.0);
         s.enqueue(&mut procs, Pid(0));
         s.enqueue(&mut procs, Pid(1));
         let cpu_of_user0 = (0..2)
@@ -782,7 +978,7 @@ mod tests {
         assert!(loaned);
         s.cpu_mut(cpu_of_user0).running = Some(pid);
         s.cpu_mut(cpu_of_user0).loaned = true;
-        s.sync_cpu(cpu_of_user0);
+        s.sync_cpu(&procs, cpu_of_user0);
         assert!(!s.needs_revocation(&procs, cpu_of_user0));
         // A home process becomes ready: revocation needed.
         s.enqueue(&mut procs, Pid(0));
@@ -823,8 +1019,7 @@ mod tests {
         // Pid0: user1 (sibling of user0, worse priority); Pid1: user2
         // (other tenant, better priority).
         let mut procs = table_with(2, |i| SpuId::user(i + 1));
-        procs.get_mut(Pid(0)).p_cpu = 500.0;
-        procs.get_mut(Pid(1)).p_cpu = 0.0;
+        procs.charge_p_cpu(Pid(0), 500.0);
         s.enqueue(&mut procs, Pid(0));
         s.enqueue(&mut procs, Pid(1));
         let cpu0 = home_of(&s, 0);
@@ -849,14 +1044,14 @@ mod tests {
         // user0's CPU runs a cross-tenant loan.
         s.cpu_mut(cpu0).running = Some(Pid(0));
         s.cpu_mut(cpu0).loaned = true;
-        s.sync_cpu(cpu0);
+        s.sync_cpu(&procs, cpu0);
         assert!(!s.needs_revocation(&procs, cpu0));
         // Sibling demand appears: the cross-tenant loan must yield.
         s.enqueue(&mut procs, Pid(1));
         assert!(s.needs_revocation(&procs, cpu0));
         // An intra-tenant loan stands against the same sibling demand.
         s.cpu_mut(cpu0).running = Some(Pid(2));
-        s.sync_cpu(cpu0);
+        s.sync_cpu(&procs, cpu0);
         assert!(!s.needs_revocation(&procs, cpu0));
     }
 
@@ -864,11 +1059,12 @@ mod tests {
     fn find_idle_prefers_sibling_cpu() {
         let spus = tenanted4();
         let mut s = Scheduler::new(Scheme::PIso, 4, &spus);
+        let procs = table_with(2, |_| SpuId::user(2));
         let (h2, h3) = (home_of(&s, 2), home_of(&s, 3));
         // user2's own CPU is busy; its sibling's CPU idles alongside the
         // other tenant's.
         s.cpu_mut(h2).running = Some(Pid(0));
-        s.sync_cpu(h2);
+        s.sync_cpu(&procs, h2);
         assert_eq!(
             s.find_idle_for(SpuId::user(2)),
             Some(h3),
@@ -876,7 +1072,7 @@ mod tests {
         );
         // Sibling busy too: fall back to the lowest idle CPU anywhere.
         s.cpu_mut(h3).running = Some(Pid(1));
-        s.sync_cpu(h3);
+        s.sync_cpu(&procs, h3);
         let lowest = (0..4).find(|i| ![h2, h3].contains(i)).unwrap();
         assert_eq!(s.find_idle_for(SpuId::user(2)), Some(lowest));
     }
@@ -893,11 +1089,12 @@ mod tests {
     fn find_idle_quota_never_crosses() {
         let spus = SpuSet::equal_users(2);
         let mut s = Scheduler::new(Scheme::Quota, 2, &spus);
+        let procs = table_with(1, |_| SpuId::user(1));
         let home1 = (0..2)
             .find(|&i| s.cpu(i).assignment.is_home_of(SpuId::user(1)))
             .unwrap();
         s.cpu_mut(home1).running = Some(Pid(0));
-        s.sync_cpu(home1);
+        s.sync_cpu(&procs, home1);
         // user1's home CPU is busy; Quota must not hand out the other CPU.
         assert_eq!(s.find_idle_for(SpuId::user(1)), None);
     }
@@ -905,11 +1102,11 @@ mod tests {
     #[test]
     fn decay_shrinks_p_cpu() {
         let spus = SpuSet::equal_users(1);
-        let s = Scheduler::new(Scheme::PIso, 1, &spus);
+        let mut s = Scheduler::new(Scheme::PIso, 1, &spus);
         let mut procs = table_with(1, |_| SpuId::user(0));
-        procs.get_mut(Pid(0)).p_cpu = 100.0;
+        procs.charge_p_cpu(Pid(0), 100.0);
         s.decay_priorities(&mut procs);
-        let v = procs.get(Pid(0)).p_cpu;
+        let v = procs.p_cpu(Pid(0));
         assert!(v < 100.0 && v > 99.0, "{v}");
     }
 
@@ -919,11 +1116,11 @@ mod tests {
         let mut s = Scheduler::new(Scheme::Smp, 2, &spus);
         let mut procs = table_with(1, |_| SpuId::user(0));
         s.enqueue(&mut procs, Pid(0));
-        s.set_online(0, false);
+        s.set_online(&procs, 0, false);
         assert_eq!(s.online_count(), 1);
         assert!(s.pick(&mut procs, 0).is_none(), "offline CPU must not pick");
         assert_eq!(s.find_idle_for(SpuId::user(0)), Some(1));
-        s.set_online(0, true);
+        s.set_online(&procs, 0, true);
         assert!(s.pick(&mut procs, 0).is_some());
     }
 
@@ -931,15 +1128,15 @@ mod tests {
     fn rebalance_rehomes_surviving_cpus() {
         let spus = SpuSet::equal_users(2);
         let mut s = Scheduler::new(Scheme::Quota, 2, &spus);
-        let mut procs = table_with(2, SpuId::user);
-        s.set_online(0, false);
-        s.rebalance(&mut procs);
+        let procs = table_with(2, SpuId::user);
+        s.set_online(&procs, 0, false);
+        s.rebalance(&procs);
         // The lone surviving CPU must now be home to both SPUs.
         assert!(s.cpu(1).assignment.is_home_of(SpuId::user(0)));
         assert!(s.cpu(1).assignment.is_home_of(SpuId::user(1)));
         // Coming back online and rebalancing restores dedicated homes.
-        s.set_online(0, true);
-        s.rebalance(&mut procs);
+        s.set_online(&procs, 0, true);
+        s.rebalance(&procs);
         let homes_0 = s.cpu(0).assignment.is_home_of(SpuId::user(0))
             || s.cpu(1).assignment.is_home_of(SpuId::user(0));
         assert!(homes_0);
@@ -958,12 +1155,12 @@ mod tests {
         assert!(loaned);
         s.cpu_mut(cpu_of_user0).running = Some(pid);
         s.cpu_mut(cpu_of_user0).loaned = true;
-        s.sync_cpu(cpu_of_user0);
+        s.sync_cpu(&procs, cpu_of_user0);
         // The other CPU dies; the survivor becomes home to both SPUs, so
         // the borrowed process is no longer a loan.
         let other = 1 - cpu_of_user0;
-        s.set_online(other, false);
-        s.rebalance(&mut procs);
+        s.set_online(&procs, other, false);
+        s.rebalance(&procs);
         assert!(!s.cpu(cpu_of_user0).loaned);
     }
 
@@ -1019,16 +1216,16 @@ mod tests {
 
     #[test]
     fn rebalance_preserves_fifo_order_across_queues() {
-        // Queued work re-placed after a partition change keeps its
-        // arrival order (stamps are not refreshed by rebalance).
+        // Queued work keeps its arrival order across a partition
+        // change (stamps are not refreshed by rebalance).
         let spus = SpuSet::equal_users(2);
         let mut s = Scheduler::new(Scheme::PIso, 2, &spus);
         let mut procs = table_with(3, |_| SpuId::user(0));
         s.enqueue(&mut procs, Pid(1));
         s.enqueue(&mut procs, Pid(0));
         s.enqueue(&mut procs, Pid(2));
-        s.set_online(0, false);
-        s.rebalance(&mut procs);
+        s.set_online(&procs, 0, false);
+        s.rebalance(&procs);
         assert_eq!(s.pick(&mut procs, 1).unwrap().0, Pid(1));
         assert_eq!(s.pick(&mut procs, 1).unwrap().0, Pid(0));
         assert_eq!(s.pick(&mut procs, 1).unwrap().0, Pid(2));
@@ -1047,5 +1244,77 @@ mod tests {
             None,
             SimTime::ZERO,
         ));
+    }
+
+    #[test]
+    fn cpu_set_scans_ascending_across_words() {
+        let mut set = CpuSet::new(130);
+        for i in [3, 64, 65, 129] {
+            set.set(i, true);
+        }
+        set.set(65, false);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(i) = set.next_from(from) {
+            seen.push(i);
+            from = i + 1;
+        }
+        assert_eq!(seen, [3, 64, 129]);
+        assert_eq!(set.next_from(130), None);
+        assert!(set.contains(64) && !set.contains(65));
+    }
+
+    #[test]
+    fn decay_can_reorder_queued_processes() {
+        // Pid0 (band 2) queues before Pid1 (band 1), so Pid1 heads the
+        // list; six decays bring Pid0 into band 1, where its older stamp
+        // wins. The head must follow without a new enqueue.
+        let spus = SpuSet::equal_users(1);
+        let mut s = Scheduler::new(Scheme::PIso, 1, &spus);
+        let mut procs = table_with(2, |_| SpuId::user(0));
+        procs.charge_p_cpu(Pid(0), 250.0);
+        procs.charge_p_cpu(Pid(1), 130.0);
+        s.enqueue(&mut procs, Pid(0));
+        s.enqueue(&mut procs, Pid(1));
+        for _ in 0..6 {
+            s.decay_priorities(&mut procs);
+        }
+        s.check_invariants(&procs);
+        assert_eq!(s.pick(&mut procs, 0).unwrap().0, Pid(0));
+    }
+
+    #[test]
+    fn revocation_stamps_once_until_taken() {
+        let spus = SpuSet::equal_users(2);
+        let mut s = Scheduler::new(Scheme::PIso, 2, &spus);
+        let mut procs = table_with(3, |i| SpuId::user([1, 0, 0][i as usize]));
+        let cpu0 = home_of(&s, 0);
+        s.enqueue(&mut procs, Pid(0));
+        let (pid, loaned) = s.pick(&mut procs, cpu0).unwrap();
+        s.cpu_mut(cpu0).running = Some(pid);
+        s.cpu_mut(cpu0).loaned = loaned;
+        s.sync_cpu(&procs, cpu0);
+        assert!(!s.mark_revocable(SimTime::from_millis(1)));
+        assert_eq!(s.revoke_request(cpu0), None);
+        // Home work arrives: the loan becomes revocable and is stamped.
+        s.enqueue(&mut procs, Pid(1));
+        assert_eq!(s.next_revocable_cpu(0), Some(cpu0));
+        assert!(s.mark_revocable(SimTime::from_millis(2)));
+        // A later wake-up keeps the first stamp.
+        s.enqueue(&mut procs, Pid(2));
+        assert!(s.mark_revocable(SimTime::from_millis(3)));
+        s.check_invariants(&procs);
+        assert_eq!(s.take_revoke_request(cpu0), Some(SimTime::from_millis(2)));
+        assert_eq!(s.take_revoke_request(cpu0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "charged while queued")]
+    fn charging_a_queued_process_panics() {
+        let spus = SpuSet::equal_users(1);
+        let mut s = Scheduler::new(Scheme::PIso, 1, &spus);
+        let mut procs = table_with(1, |_| SpuId::user(0));
+        s.enqueue(&mut procs, Pid(0));
+        procs.charge_p_cpu(Pid(0), 1.0);
     }
 }

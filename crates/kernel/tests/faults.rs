@@ -165,9 +165,10 @@ fn cpu_offline_rebalances_and_online_restores() {
 fn hotplug_storm_at_128_cpus_conserves_ledger() {
     // 128 CPUs, 16 SPUs with live memory traffic, and a hotplug storm:
     // three waves take 48 CPUs away mid-run and bring them all back.
-    // Every offline/online rebalances the per-CPU run queues while
-    // memory keeps changing hands, and the auditor must find the
-    // conservation invariant intact at every audit point.
+    // Every offline/online rebalances the CPU partition and the
+    // scheduler's CPU sets while memory keeps changing hands, and the
+    // auditor must find the conservation invariant intact at every
+    // audit point.
     let mut plan = FaultPlan::new();
     for (wave, base) in [(0u64, 64usize), (1, 80), (2, 96)] {
         for i in 0..16 {
@@ -198,6 +199,7 @@ fn hotplug_storm_at_128_cpus_conserves_ledger() {
     }
     let m = k.run(secs(60));
     assert!(m.completed);
+    k.check_invariants();
     assert_eq!(k.auditor().violation_count(), 0, "conservation violated");
     assert!(k.auditor().checks() > 0, "auditor never ran");
     assert!(k.errors().is_empty(), "recovered errors: {:?}", k.errors());
