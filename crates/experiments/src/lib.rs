@@ -35,6 +35,7 @@
 //! ```
 
 pub mod ablation;
+pub mod cli;
 pub mod consolidation;
 pub mod cpu_iso;
 pub mod disk_bw;

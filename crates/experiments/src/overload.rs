@@ -143,10 +143,6 @@ fn boot(scheme: Scheme, policy: ShedPolicy, load_tenths: u32, h: SimTime, cpus: 
         request_max_retries: 3,
         request_retry_base: SimDuration::from_millis(10),
         request_retry_cap: SimDuration::from_millis(160),
-        codel_target: SimDuration::from_millis(10),
-        // CoDel sheds at most one head per interval: at 5 ms it can
-        // drop up to 200/s, enough to matter at 2.5× overload.
-        codel_interval: SimDuration::from_millis(5),
         ..Tuning::default()
     };
     let cfg = MachineConfig::builder()

@@ -595,24 +595,6 @@ pub fn bench_scenarios(scale: Scale) -> Vec<Box<dyn AnyScenario>> {
     v
 }
 
-/// Parses `--threads N` from a command line (the examples' shared
-/// convention); defaults to 1 (serial).
-pub fn threads_from_args(args: &[String]) -> usize {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--threads" {
-            if let Some(n) = iter.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse() {
-                return n;
-            }
-        }
-    }
-    1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,14 +717,5 @@ mod tests {
         assert!(jsonl.contains("sweep.cells") && jsonl.contains("sweep.cell.cell2.wall_us"));
         let timing = run.timing_summary();
         assert!(timing.contains("cell1") && timing.contains("total"));
-    }
-
-    #[test]
-    fn threads_from_args_parses_both_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&args(&["--threads", "4"])), 4);
-        assert_eq!(threads_from_args(&args(&["--threads=8"])), 8);
-        assert_eq!(threads_from_args(&args(&["--quick"])), 1);
-        assert_eq!(threads_from_args(&args(&["--threads", "bogus"])), 1);
     }
 }

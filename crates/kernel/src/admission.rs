@@ -34,6 +34,7 @@ use std::collections::VecDeque;
 use event_sim::{backoff_delay, SimTime};
 use spu_core::{ShedPolicy, SpuId};
 
+use crate::config::{CODEL_INTERVAL, CODEL_TARGET};
 use crate::event::Event;
 use crate::kernel::Kernel;
 use crate::obsv::{RequestReport, SpuRequests};
@@ -283,8 +284,6 @@ impl Kernel {
                 self.shed_request(w.pid);
             },
             ShedPolicy::Codel => {
-                let (target, interval) =
-                    (self.cfg.tuning.codel_target, self.cfg.tuning.codel_interval);
                 loop {
                     let q = &mut self.admission[idx];
                     let Some(&w) = q.waiting.front() else {
@@ -292,7 +291,7 @@ impl Kernel {
                         return;
                     };
                     let sojourn = self.now.saturating_since(w.enqueued);
-                    if sojourn < target {
+                    if sojourn < CODEL_TARGET {
                         q.first_above = None;
                         return;
                     }
@@ -303,7 +302,7 @@ impl Kernel {
                             q.first_above = Some(self.now);
                             return;
                         }
-                        Some(since) if self.now.saturating_since(since) >= interval => {
+                        Some(since) if self.now.saturating_since(since) >= CODEL_INTERVAL => {
                             q.waiting.pop_front();
                             q.first_above = Some(self.now);
                             self.admission[idx].shed += 1;

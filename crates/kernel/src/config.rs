@@ -4,6 +4,11 @@
 //! CHALLENGE-class bus-based SMP with 300 MHz R4000 CPUs, HP 97560 disks,
 //! a 10 ms clock tick, 30 ms CPU time slices, an 8% memory Reserve
 //! Threshold, a 500 ms disk-bandwidth decay half-life, and 4 KB pages.
+//!
+//! The kernel constants no experiment varies, such as [`TICK`] and
+//! [`BW_HALF_LIFE`], are `const`s here. [`Tuning`] holds only the knobs
+//! some experiment, test or benchmark sets. [`MachineConfig::builder`]
+//! is the one way to set up a machine.
 
 use std::fmt;
 
@@ -15,6 +20,50 @@ use spu_core::{Scheme, ShedPolicy, SpuSet, SpuTree};
 pub const PAGE_SIZE: u64 = 4096;
 /// Disk sectors per page.
 pub const SECTORS_PER_PAGE: u32 = (PAGE_SIZE / 512) as u32;
+
+/// Clock tick: scheduling, loan revocation and priority decay happen
+/// here (§3.1: 10 ms, the maximum CPU revocation latency).
+pub const TICK: SimDuration = SimDuration::from_millis(10);
+/// Period of the memory sharing-policy evaluation (§3.2: "checked
+/// periodically").
+pub const MEM_POLICY_PERIOD: SimDuration = SimDuration::from_millis(100);
+/// Disk bandwidth-count decay half-life (§3.3: 500 ms).
+pub const BW_HALF_LIFE: SimDuration = SimDuration::from_millis(500);
+/// Write-behind daemon period (classic UNIX update daemon cadence).
+pub const SYNC_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// Dirty-buffer high watermark as a fraction of total frames; writers
+/// block above it until the flusher drains below the low watermark.
+pub const DIRTY_HIGH_FRAC: f64 = 0.10;
+/// Dirty-buffer low watermark.
+pub const DIRTY_LOW_FRAC: f64 = 0.05;
+/// Blocks of sequential read-ahead on a buffer-cache miss.
+pub const READAHEAD_BLOCKS: u32 = 7;
+/// CPU cost of copying one 4 KB block between cache and user space.
+pub const COPY_COST: SimDuration = SimDuration::from_micros(25);
+/// CPU cost of zero-filling a newly allocated page.
+pub const ZERO_FILL_COST: SimDuration = SimDuration::from_micros(15);
+/// CPU cost of fork/exec bookkeeping.
+pub const FORK_COST: SimDuration = SimDuration::from_millis(2);
+/// How often a computing process re-touches its working set.
+pub const TOUCH_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// Maximum retries of a failed disk request before the error is
+/// surfaced to the process.
+pub const IO_MAX_RETRIES: u32 = 3;
+/// First retry delay; doubles per attempt (capped exponential
+/// backoff).
+pub const IO_RETRY_BASE: SimDuration = SimDuration::from_millis(5);
+/// Ceiling on the per-retry delay.
+pub const IO_RETRY_CAP: SimDuration = SimDuration::from_millis(80);
+/// Total retry budget measured from the first failure; once
+/// exceeded the request fails up even if retries remain.
+pub const IO_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+/// CoDel sojourn target: shedding starts once queue delay stays
+/// above this for a full interval.
+pub const CODEL_TARGET: SimDuration = SimDuration::from_millis(10);
+/// CoDel observation interval. CoDel sheds at most one head per
+/// interval: at 5 ms it can drop up to 200/s, enough to matter at 2.5×
+/// overload.
+pub const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(5);
 
 /// Configuration of one disk device.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,34 +84,19 @@ impl Default for DiskSetup {
     }
 }
 
-/// Kernel tuning knobs; the defaults are the paper's values where the
-/// paper states them and small plausible costs elsewhere.
+/// The kernel tuning knobs that some experiment, test or benchmark
+/// varies; the fixed ones are this module's constants. The defaults
+/// are the paper's values where the paper states them and small
+/// plausible costs elsewhere.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tuning {
-    /// Clock tick: scheduling, loan revocation and priority decay happen
-    /// here (§3.1: 10 ms, the maximum CPU revocation latency).
-    pub tick: SimDuration,
     /// CPU time slice (§3.1: 30 ms "unless the process blocks before
     /// that").
     pub slice: SimDuration,
-    /// Period of the memory sharing-policy evaluation (§3.2: "checked
-    /// periodically").
-    pub mem_policy_period: SimDuration,
     /// Reserve Threshold as a fraction of memory (§3.2: 8%).
     pub reserve_frac: f64,
-    /// Disk bandwidth-count decay half-life (§3.3: 500 ms).
-    pub bw_half_life: SimDuration,
     /// BW-difference threshold in sectors (§3.3).
     pub bw_threshold: f64,
-    /// Write-behind daemon period (classic UNIX update daemon cadence).
-    pub sync_period: SimDuration,
-    /// Dirty-buffer high watermark as a fraction of total frames; writers
-    /// block above it until the flusher drains below the low watermark.
-    pub dirty_high_frac: f64,
-    /// Dirty-buffer low watermark.
-    pub dirty_low_frac: f64,
-    /// Blocks of sequential read-ahead on a buffer-cache miss.
-    pub readahead_blocks: u32,
     /// Read-ahead windows kept in flight for a sequential stream — the
     /// kernel keeps issuing prefetches until this many fills are
     /// outstanding ("multiple outstanding reads because of read-ahead",
@@ -76,14 +110,6 @@ pub struct Tuning {
     /// Whether the root inode lock is multi-reader (the §3.4 fix) or a
     /// mutual-exclusion semaphore (stock IRIX 5.3).
     pub rw_inode_lock: bool,
-    /// CPU cost of copying one 4 KB block between cache and user space.
-    pub copy_cost: SimDuration,
-    /// CPU cost of zero-filling a newly allocated page.
-    pub zero_fill_cost: SimDuration,
-    /// CPU cost of fork/exec bookkeeping.
-    pub fork_cost: SimDuration,
-    /// How often a computing process re-touches its working set.
-    pub touch_interval: SimDuration,
     /// Revoke loaned CPUs immediately via inter-processor interrupt when
     /// a home process wakes, instead of waiting for the next clock tick
     /// (§3.1: "Another possibility would be to send an inter-processor
@@ -91,17 +117,6 @@ pub struct Tuning {
     /// needed to provide response time performance isolation guarantees
     /// to interactive processes.").
     pub ipi_revocation: bool,
-    /// Maximum retries of a failed disk request before the error is
-    /// surfaced to the process.
-    pub io_max_retries: u32,
-    /// First retry delay; doubles per attempt (capped exponential
-    /// backoff).
-    pub io_retry_base: SimDuration,
-    /// Ceiling on the per-retry delay.
-    pub io_retry_cap: SimDuration,
-    /// Total retry budget measured from the first failure; once
-    /// exceeded the request fails up even if retries remain.
-    pub io_timeout: SimDuration,
     /// Per-SPU admission cap: how many tracked requests an SPU may have
     /// in service at once; arrivals beyond it wait in the SPU's
     /// admission queue. `0` disables admission control entirely — every
@@ -123,39 +138,19 @@ pub struct Tuning {
     pub request_retry_base: SimDuration,
     /// Ceiling on the re-submission delay.
     pub request_retry_cap: SimDuration,
-    /// CoDel sojourn target: shedding starts once queue delay stays
-    /// above this for a full interval.
-    pub codel_target: SimDuration,
-    /// CoDel observation interval.
-    pub codel_interval: SimDuration,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {
-            tick: SimDuration::from_millis(10),
             slice: SimDuration::from_millis(30),
-            mem_policy_period: SimDuration::from_millis(100),
             reserve_frac: 0.08,
-            bw_half_life: SimDuration::from_millis(500),
             bw_threshold: 64.0,
-            sync_period: SimDuration::from_secs(1),
-            dirty_high_frac: 0.10,
-            dirty_low_frac: 0.05,
-            readahead_blocks: 7,
             prefetch_windows: 4,
             kernel_mem_frac: 0.10,
             lookup_cost: SimDuration::from_micros(40),
             rw_inode_lock: true,
-            copy_cost: SimDuration::from_micros(25),
-            zero_fill_cost: SimDuration::from_micros(15),
-            fork_cost: SimDuration::from_millis(2),
-            touch_interval: SimDuration::from_millis(50),
             ipi_revocation: false,
-            io_max_retries: 3,
-            io_retry_base: SimDuration::from_millis(5),
-            io_retry_cap: SimDuration::from_millis(80),
-            io_timeout: SimDuration::from_secs(1),
             admission_cap: 0,
             queue_cap: 64,
             shed_policy: ShedPolicy::None,
@@ -163,13 +158,12 @@ impl Default for Tuning {
             request_max_retries: 3,
             request_retry_base: SimDuration::from_millis(5),
             request_retry_cap: SimDuration::from_millis(80),
-            codel_target: SimDuration::from_millis(5),
-            codel_interval: SimDuration::from_millis(100),
         }
     }
 }
 
-/// Full machine configuration for one simulation run.
+/// Full machine configuration for one simulation run, built only
+/// through the validating [`MachineConfig::builder`].
 ///
 /// # Examples
 ///
@@ -187,6 +181,7 @@ impl Default for Tuning {
 /// assert_eq!(m.total_frames(), 44 * 256); // 4 KB pages
 /// ```
 #[derive(Clone, Debug, PartialEq)]
+#[non_exhaustive]
 pub struct MachineConfig {
     /// Number of CPUs.
     pub cpus: usize,
@@ -198,47 +193,12 @@ pub struct MachineConfig {
     pub scheme: Scheme,
     /// Kernel tuning knobs.
     pub tuning: Tuning,
-    /// Deterministic fault-injection schedule, if any. An empty plan
-    /// behaves exactly like `None`.
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault-injection schedule; empty for a fault-free
+    /// run.
+    pub fault_plan: FaultPlan,
 }
 
 impl MachineConfig {
-    /// Sets the allocation scheme.
-    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Replaces the tuning knobs.
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Applies a disk seek scale to all disks (§4.5 uses 0.5).
-    pub fn with_seek_scale(mut self, scale: f64) -> Self {
-        for d in &mut self.disks {
-            d.seek_scale = scale;
-        }
-        self
-    }
-
-    /// Forces a particular disk scheduler on all disks (the §4.5
-    /// Pos/Iso/PIso comparison).
-    pub fn with_disk_scheduler(mut self, kind: SchedulerKind) -> Self {
-        for d in &mut self.disks {
-            d.scheduler = Some(kind);
-        }
-        self
-    }
-
     /// Total page frames.
     pub fn total_frames(&self) -> u64 {
         self.memory_mb * 1024 * 1024 / PAGE_SIZE
@@ -276,29 +236,14 @@ impl Fingerprint for DiskSetup {
 
 impl Fingerprint for Tuning {
     fn fingerprint(&self, h: &mut Fnv64) {
-        self.tick.fingerprint(h);
         self.slice.fingerprint(h);
-        self.mem_policy_period.fingerprint(h);
         h.write_f64(self.reserve_frac);
-        self.bw_half_life.fingerprint(h);
         h.write_f64(self.bw_threshold);
-        self.sync_period.fingerprint(h);
-        h.write_f64(self.dirty_high_frac);
-        h.write_f64(self.dirty_low_frac);
-        h.write_u32(self.readahead_blocks);
         h.write_u32(self.prefetch_windows);
         h.write_f64(self.kernel_mem_frac);
         self.lookup_cost.fingerprint(h);
         h.write_bool(self.rw_inode_lock);
-        self.copy_cost.fingerprint(h);
-        self.zero_fill_cost.fingerprint(h);
-        self.fork_cost.fingerprint(h);
-        self.touch_interval.fingerprint(h);
         h.write_bool(self.ipi_revocation);
-        h.write_u32(self.io_max_retries);
-        self.io_retry_base.fingerprint(h);
-        self.io_retry_cap.fingerprint(h);
-        self.io_timeout.fingerprint(h);
         h.write_u32(self.admission_cap);
         h.write_u32(self.queue_cap);
         self.shed_policy.fingerprint(h);
@@ -306,8 +251,6 @@ impl Fingerprint for Tuning {
         h.write_u32(self.request_max_retries);
         self.request_retry_base.fingerprint(h);
         self.request_retry_cap.fingerprint(h);
-        self.codel_target.fingerprint(h);
-        self.codel_interval.fingerprint(h);
     }
 }
 
@@ -321,13 +264,7 @@ impl Fingerprint for MachineConfig {
         }
         self.scheme.fingerprint(h);
         self.tuning.fingerprint(h);
-        match &self.fault_plan {
-            Some(plan) => {
-                h.write_bool(true);
-                plan.fingerprint(h);
-            }
-            None => h.write_bool(false),
-        }
+        self.fault_plan.fingerprint(h);
     }
 }
 
@@ -340,42 +277,21 @@ pub enum ConfigError {
     NoMemory,
     /// The machine needs at least one disk.
     NoDisks,
-    /// A share vector was empty.
-    EmptyShares {
-        /// Which share vector ("cpu", "memory" or "disk").
-        resource: &'static str,
-    },
-    /// A share vector contained a zero weight (an SPU entitled to
-    /// nothing can never make progress).
+    /// No user SPU was declared: [`spus`](MachineConfigBuilder::spus)
+    /// with a count of zero, or
+    /// [`build_with_spus`](MachineConfigBuilder::build_with_spus)
+    /// without `spus` or [`tenant`](MachineConfigBuilder::tenant).
+    EmptyShares,
+    /// A user SPU was given a zero weight (an SPU entitled to nothing
+    /// can never make progress).
     ZeroShare {
-        /// Which share vector.
-        resource: &'static str,
-        /// Index of the offending weight.
+        /// Index of the offending user SPU.
         index: usize,
-    },
-    /// A per-resource share vector's length differed from the SPU count
-    /// set by the base shares.
-    ShareCountMismatch {
-        /// Which share vector.
-        resource: &'static str,
-        /// SPU count implied by the base shares.
-        expected: usize,
-        /// Length of the offending vector.
-        got: usize,
     },
     /// The disk seek scale must be finite and positive.
     BadSeekScale {
         /// The rejected value.
         value: f64,
-    },
-    /// A per-SPU override named an SPU index beyond the declared count.
-    SpuIndexOutOfRange {
-        /// Which share vector.
-        resource: &'static str,
-        /// The offending user-SPU index.
-        index: usize,
-        /// The declared user-SPU count.
-        count: usize,
     },
     /// A tenant's service shares add up to more than the tenant's
     /// entitlement ceiling — children cannot subdivide more than the
@@ -408,37 +324,16 @@ impl fmt::Display for ConfigError {
             ConfigError::NoCpus => write!(f, "machine needs at least one CPU"),
             ConfigError::NoMemory => write!(f, "machine needs a non-zero amount of memory"),
             ConfigError::NoDisks => write!(f, "machine needs at least one disk"),
-            ConfigError::EmptyShares { resource } => {
-                write!(f, "{resource} share vector is empty")
+            ConfigError::EmptyShares => write!(f, "no user SPUs declared"),
+            ConfigError::ZeroShare { index } => {
+                write!(f, "user SPU {index} has a zero share")
             }
-            ConfigError::ZeroShare { resource, index } => {
-                write!(
-                    f,
-                    "{resource} share vector has a zero weight at index {index}"
-                )
-            }
-            ConfigError::ShareCountMismatch {
-                resource,
-                expected,
-                got,
-            } => write!(
-                f,
-                "{resource} share vector has {got} weights for {expected} SPUs"
-            ),
             ConfigError::BadSeekScale { value } => {
                 write!(
                     f,
                     "disk seek scale must be finite and positive, got {value}"
                 )
             }
-            ConfigError::SpuIndexOutOfRange {
-                resource,
-                index,
-                count,
-            } => write!(
-                f,
-                "{resource} share override names SPU {index} but only {count} SPUs are declared"
-            ),
             ConfigError::TenantOversubscribed {
                 tenant,
                 ceiling,
@@ -459,13 +354,17 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// A pending tenant declaration: name, ceiling, and the
+/// `(service name, weight)` pairs declared under it so far.
+type TenantDecl = (String, u32, Vec<(String, u32)>);
+
 /// Validating builder for [`MachineConfig`] (and optionally the
 /// [`SpuSet`] sharing contract), returning typed [`ConfigError`]s where
 /// the panicking constructors would abort.
 ///
-/// The topology-first surface describes the machine in one call and
-/// generates SPU sets programmatically — the only way to sanely express
-/// a 512-CPU / 1024-SPU consolidation host:
+/// The machine is described in one call and SPU sets are generated
+/// programmatically — the only way to sanely express a 512-CPU /
+/// 1024-SPU consolidation host:
 ///
 /// ```
 /// use smp_kernel::MachineConfig;
@@ -474,13 +373,14 @@ impl std::error::Error for ConfigError {}
 /// let (cfg, spus) = MachineConfig::builder()
 ///     .topology(512, 2048, 16)
 ///     .scheme(Scheme::PIso)
-///     .spus(1024, 1)          // 1024 tenants, equal shares...
-///     .spu_share(0, 8)        // ...except tenant 0 pays for 8×
+///     .spus(1024, 1) // 1024 tenants, equal shares
 ///     .build_with_spus()
 ///     .unwrap();
 /// assert_eq!(cfg.cpus, 512);
 /// assert_eq!(spus.user_count(), 1024);
 /// ```
+///
+/// Unequal flat weights come from [`SpuSet::with_weights`] directly.
 ///
 /// # Examples
 ///
@@ -491,7 +391,7 @@ impl std::error::Error for ConfigError {}
 /// let (cfg, spus) = MachineConfig::builder()
 ///     .topology(8, 44, 8)
 ///     .scheme(Scheme::PIso)
-///     .shares(&[1, 1, 2])
+///     .spus(3, 1)
 ///     .build_with_spus()
 ///     .unwrap();
 /// assert_eq!(cfg.cpus, 8);
@@ -499,59 +399,41 @@ impl std::error::Error for ConfigError {}
 ///
 /// let err = MachineConfig::builder()
 ///     .topology(2, 32, 1)
-///     .shares(&[1, 0])
+///     .spus(2, 0)
 ///     .build_with_spus()
 ///     .unwrap_err();
-/// assert_eq!(err, ConfigError::ZeroShare { resource: "cpu", index: 1 });
+/// assert_eq!(err, ConfigError::ZeroShare { index: 0 });
 /// ```
-/// A pending tenant declaration: name, ceiling, and the
-/// `(service name, weight)` pairs declared under it so far.
-type TenantDecl = (String, u32, Vec<(String, u32)>);
-
 #[derive(Clone, Debug, Default)]
 pub struct MachineConfigBuilder {
     cpus: usize,
     memory_mb: u64,
     disk_count: usize,
+    /// The setup every disk gets.
+    disk: DiskSetup,
     scheme: Scheme,
-    tuning: Option<Tuning>,
-    fault_plan: Option<FaultPlan>,
-    seek_scale: Option<f64>,
-    disk_scheduler: Option<SchedulerKind>,
-    shares: Option<Vec<u32>>,
-    memory_shares: Option<Vec<u32>>,
-    disk_shares: Option<Vec<u32>>,
+    tuning: Tuning,
+    fault_plan: FaultPlan,
     spu_count: Option<(usize, u32)>,
-    spu_overrides: Vec<(usize, u32)>,
-    spu_mem_overrides: Vec<(usize, u32)>,
-    spu_disk_overrides: Vec<(usize, u32)>,
     tenants: Vec<TenantDecl>,
     orphan_service: Option<String>,
-    names: Option<Vec<String>>,
-    tree: Option<SpuTree>,
 }
 
 impl MachineConfigBuilder {
     /// Sets the whole machine shape in one call: CPU count, memory in
-    /// megabytes, and number of default disks. Equivalent to
-    /// [`cpus`](Self::cpus) + [`memory_mb`](Self::memory_mb) +
-    /// [`disk_count`](Self::disk_count).
-    pub fn topology(self, cpus: usize, memory_mb: u64, disks: usize) -> Self {
-        self.cpus(cpus).memory_mb(memory_mb).disk_count(disks)
+    /// megabytes, and number of default disks.
+    pub fn topology(mut self, cpus: usize, memory_mb: u64, disks: usize) -> Self {
+        self.cpus = cpus;
+        self.memory_mb = memory_mb;
+        self.disk_count = disks;
+        self
     }
 
-    /// Declares `count` user SPUs, each with `default_share` as its
-    /// weight for every resource, to be refined with
-    /// [`spu_share`](Self::spu_share) /
-    /// [`spu_memory_share`](Self::spu_memory_share) /
-    /// [`spu_disk_share`](Self::spu_disk_share). Generates the same
-    /// [`SpuSet`] an explicit [`shares`](Self::shares) vector of
-    /// `count` copies of `default_share` would, so existing configs are
-    /// reproducible through either surface. Replaces any previously set
-    /// share vector (last call wins).
-    pub fn spus(mut self, count: usize, default_share: u32) -> Self {
-        self.spu_count = Some((count, default_share));
-        self.shares = None;
+    /// Declares `count` user SPUs, each with weight `share` for every
+    /// resource. Replaces any previous [`tenant`](Self::tenant)
+    /// declaration (last surface wins).
+    pub fn spus(mut self, count: usize, share: u32) -> Self {
+        self.spu_count = Some((count, share));
         self.tenants.clear();
         self
     }
@@ -561,9 +443,8 @@ impl MachineConfigBuilder {
     /// [`service`](Self::service) calls add leaf SPUs to this tenant
     /// until the next `tenant` call opens another. Declaring tenants
     /// produces a hierarchical [`SpuSet`] (see [`SpuTree`]); it
-    /// replaces any previously set [`shares`](Self::shares) vector or
-    /// [`spus`](Self::spus) declaration, and vice versa (last surface
-    /// wins).
+    /// replaces any previous [`spus`](Self::spus) declaration, and vice
+    /// versa (last surface wins).
     ///
     /// ```
     /// use smp_kernel::MachineConfig;
@@ -585,7 +466,6 @@ impl MachineConfigBuilder {
     /// ```
     pub fn tenant(mut self, name: &str, ceiling: u32) -> Self {
         self.tenants.push((name.to_string(), ceiling, Vec::new()));
-        self.shares = None;
         self.spu_count = None;
         self
     }
@@ -607,47 +487,6 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Overrides one SPU's entitlement weight (requires
-    /// [`spus`](Self::spus)). Later overrides of the same index win.
-    pub fn spu_share(mut self, index: usize, weight: u32) -> Self {
-        self.spu_overrides.push((index, weight));
-        self
-    }
-
-    /// Overrides one SPU's memory weight (requires [`spus`](Self::spus)).
-    /// The first memory override materializes a memory share vector
-    /// initialized from the CPU weights.
-    pub fn spu_memory_share(mut self, index: usize, weight: u32) -> Self {
-        self.spu_mem_overrides.push((index, weight));
-        self
-    }
-
-    /// Overrides one SPU's disk-bandwidth weight (requires
-    /// [`spus`](Self::spus)). The first disk override materializes a
-    /// disk share vector initialized from the CPU weights.
-    pub fn spu_disk_share(mut self, index: usize, weight: u32) -> Self {
-        self.spu_disk_overrides.push((index, weight));
-        self
-    }
-
-    /// Sets the CPU count.
-    pub fn cpus(mut self, cpus: usize) -> Self {
-        self.cpus = cpus;
-        self
-    }
-
-    /// Sets main memory in megabytes.
-    pub fn memory_mb(mut self, mb: u64) -> Self {
-        self.memory_mb = mb;
-        self
-    }
-
-    /// Sets the number of (default) disks.
-    pub fn disk_count(mut self, disks: usize) -> Self {
-        self.disk_count = disks;
-        self
-    }
-
     /// Sets the allocation scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
@@ -656,73 +495,27 @@ impl MachineConfigBuilder {
 
     /// Replaces the tuning knobs.
     pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = Some(tuning);
+        self.tuning = tuning;
         self
     }
 
     /// Installs a fault plan.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
-    /// Applies a seek scale to every disk.
+    /// Applies a seek scale to every disk (§4.5 uses 0.5).
     pub fn seek_scale(mut self, scale: f64) -> Self {
-        self.seek_scale = Some(scale);
+        self.disk.seek_scale = scale;
         self
     }
 
-    /// Forces a disk scheduler on every disk.
+    /// Forces a disk scheduler on every disk (the §4.5 Pos/Iso/PIso
+    /// comparison).
     pub fn disk_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.disk_scheduler = Some(kind);
+        self.disk.scheduler = Some(kind);
         self
-    }
-
-    /// Sets the per-SPU entitlement share vector (one weight per user
-    /// SPU). Required for [`build_with_spus`](Self::build_with_spus)
-    /// unless [`spus`](Self::spus) declared the set programmatically.
-    /// Replaces a previous [`spus`](Self::spus) declaration (last call
-    /// wins).
-    pub fn shares(mut self, weights: &[u32]) -> Self {
-        self.shares = Some(weights.to_vec());
-        self.spu_count = None;
-        self.tenants.clear();
-        self
-    }
-
-    /// Overrides the memory share vector.
-    pub fn memory_shares(mut self, weights: &[u32]) -> Self {
-        self.memory_shares = Some(weights.to_vec());
-        self
-    }
-
-    /// Overrides the disk-bandwidth share vector.
-    pub fn disk_shares(mut self, weights: &[u32]) -> Self {
-        self.disk_shares = Some(weights.to_vec());
-        self
-    }
-
-    fn check_shares(
-        resource: &'static str,
-        weights: &[u32],
-        expected: Option<usize>,
-    ) -> Result<(), ConfigError> {
-        if weights.is_empty() {
-            return Err(ConfigError::EmptyShares { resource });
-        }
-        if let Some(expected) = expected {
-            if weights.len() != expected {
-                return Err(ConfigError::ShareCountMismatch {
-                    resource,
-                    expected,
-                    got: weights.len(),
-                });
-            }
-        }
-        if let Some(index) = weights.iter().position(|&w| w == 0) {
-            return Err(ConfigError::ZeroShare { resource, index });
-        }
-        Ok(())
     }
 
     /// Validates and builds the [`MachineConfig`].
@@ -730,52 +523,64 @@ impl MachineConfigBuilder {
         self.build_inner().map(|(cfg, _)| cfg)
     }
 
-    /// Validates and builds the machine *and* the SPU sharing contract
-    /// from the share vectors; [`shares`](Self::shares) must have been
-    /// set.
+    /// Validates and builds the machine *and* the SPU sharing contract;
+    /// [`spus`](Self::spus) or [`tenant`](Self::tenant) must have
+    /// declared the SPUs.
     pub fn build_with_spus(self) -> Result<(MachineConfig, SpuSet), ConfigError> {
         let (cfg, spus) = self.build_inner()?;
-        Ok((
-            cfg,
-            spus.ok_or(ConfigError::EmptyShares { resource: "cpu" })?,
-        ))
+        Ok((cfg, spus.ok_or(ConfigError::EmptyShares)?))
     }
 
-    /// Applies `(index, weight)` overrides onto a base vector, checking
-    /// every index against the declared SPU count.
-    fn apply_overrides(
-        resource: &'static str,
-        base: &mut [u32],
-        overrides: &[(usize, u32)],
-    ) -> Result<(), ConfigError> {
-        for &(index, weight) in overrides {
-            if index >= base.len() {
-                return Err(ConfigError::SpuIndexOutOfRange {
-                    resource,
-                    index,
-                    count: base.len(),
-                });
-            }
-            base[index] = weight;
+    fn build_inner(self) -> Result<(MachineConfig, Option<SpuSet>), ConfigError> {
+        if self.cpus == 0 {
+            return Err(ConfigError::NoCpus);
         }
-        Ok(())
+        if self.memory_mb == 0 {
+            return Err(ConfigError::NoMemory);
+        }
+        if self.disk_count == 0 {
+            return Err(ConfigError::NoDisks);
+        }
+        let scale = self.disk.seek_scale;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(ConfigError::BadSeekScale { value: scale });
+        }
+        let spus = self.spu_set()?;
+        let cfg = MachineConfig {
+            cpus: self.cpus,
+            memory_mb: self.memory_mb,
+            disks: vec![self.disk; self.disk_count],
+            scheme: self.scheme,
+            tuning: self.tuning,
+            fault_plan: self.fault_plan,
+        };
+        Ok((cfg, spus))
     }
 
-    /// Materializes a [`tenant`](Self::tenant)/[`service`](Self::service)
-    /// declaration into a share vector, service names, and the
-    /// [`SpuTree`] to hang off the built [`SpuSet`]. Every tree panic is
-    /// pre-checked here so the builder reports typed errors instead.
-    fn materialize_tenants(&mut self) -> Result<(), ConfigError> {
+    /// The declared SPU set, if any: [`spus`](Self::spus)'s equal
+    /// weights or the [`tenant`](Self::tenant)/[`service`](Self::service)
+    /// tree. Every `SpuSet` and [`SpuTree`] panic is pre-checked here so
+    /// the builder reports typed errors instead.
+    fn spu_set(&self) -> Result<Option<SpuSet>, ConfigError> {
         if let Some(service) = &self.orphan_service {
             return Err(ConfigError::ServiceOutsideTenant {
                 service: service.clone(),
             });
         }
+        if let Some((count, share)) = self.spu_count {
+            if count == 0 {
+                return Err(ConfigError::EmptyShares);
+            }
+            if share == 0 {
+                return Err(ConfigError::ZeroShare { index: 0 });
+            }
+            return Ok(Some(SpuSet::with_weights(&vec![share; count])));
+        }
         if self.tenants.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         let mut weights: Vec<u32> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
+        let mut names: Vec<&str> = Vec::new();
         let mut tree_tenants: Vec<(String, u32, Vec<u32>)> = Vec::new();
         for (name, ceiling, services) in &self.tenants {
             if services.is_empty() {
@@ -788,14 +593,13 @@ impl MachineConfigBuilder {
             for (service, weight) in services {
                 if *weight == 0 {
                     return Err(ConfigError::ZeroShare {
-                        resource: "cpu",
                         index: weights.len(),
                     });
                 }
                 requested += u64::from(*weight);
                 leaves.push(weights.len() as u32);
                 weights.push(*weight);
-                names.push(service.clone());
+                names.push(service);
             }
             if requested > u64::from(*ceiling) {
                 return Err(ConfigError::TenantOversubscribed {
@@ -806,118 +610,19 @@ impl MachineConfigBuilder {
             }
             tree_tenants.push((name.clone(), *ceiling, leaves));
         }
-        self.tree = Some(SpuTree::new(tree_tenants));
-        self.names = Some(names);
-        self.shares = Some(weights);
-        Ok(())
-    }
-
-    /// Materializes the topology-declared SPU set into explicit share
-    /// vectors, leaving an explicit [`shares`](Self::shares) builder
-    /// untouched. Memory/disk vectors are only materialized when an
-    /// override demands them, so a plain `spus(n, w)` builds the exact
-    /// same `SpuSet` (and fingerprint) as `shares(&[w; n])`.
-    fn materialize_topology(&mut self) -> Result<(), ConfigError> {
-        let Some((count, default_share)) = self.spu_count else {
-            if !self.spu_overrides.is_empty()
-                || !self.spu_mem_overrides.is_empty()
-                || !self.spu_disk_overrides.is_empty()
-            {
-                return Err(ConfigError::EmptyShares { resource: "cpu" });
-            }
-            return Ok(());
-        };
-        if count == 0 {
-            return Err(ConfigError::EmptyShares { resource: "cpu" });
+        let mut set = SpuSet::with_weights(&weights);
+        for (i, name) in names.into_iter().enumerate() {
+            set = set.named(i, name);
         }
-        let mut weights = vec![default_share; count];
-        Self::apply_overrides("cpu", &mut weights, &self.spu_overrides)?;
-        if !self.spu_mem_overrides.is_empty() && self.memory_shares.is_none() {
-            let mut mem = weights.clone();
-            Self::apply_overrides("memory", &mut mem, &self.spu_mem_overrides)?;
-            self.memory_shares = Some(mem);
-        }
-        if !self.spu_disk_overrides.is_empty() && self.disk_shares.is_none() {
-            let mut disk = weights.clone();
-            Self::apply_overrides("disk", &mut disk, &self.spu_disk_overrides)?;
-            self.disk_shares = Some(disk);
-        }
-        self.shares = Some(weights);
-        Ok(())
-    }
-
-    fn build_inner(mut self) -> Result<(MachineConfig, Option<SpuSet>), ConfigError> {
-        if self.cpus == 0 {
-            return Err(ConfigError::NoCpus);
-        }
-        if self.memory_mb == 0 {
-            return Err(ConfigError::NoMemory);
-        }
-        if self.disk_count == 0 {
-            return Err(ConfigError::NoDisks);
-        }
-        if let Some(scale) = self.seek_scale {
-            if !(scale.is_finite() && scale > 0.0) {
-                return Err(ConfigError::BadSeekScale { value: scale });
-            }
-        }
-        self.materialize_tenants()?;
-        self.materialize_topology()?;
-        let spus = match &self.shares {
-            Some(shares) => {
-                Self::check_shares("cpu", shares, None)?;
-                let mut set = SpuSet::with_weights(shares);
-                if let Some(names) = &self.names {
-                    for (i, name) in names.iter().enumerate() {
-                        set = set.named(i, name);
-                    }
-                }
-                if let Some(mem) = &self.memory_shares {
-                    Self::check_shares("memory", mem, Some(shares.len()))?;
-                    set = set.with_memory_weights(mem);
-                }
-                if let Some(disk) = &self.disk_shares {
-                    Self::check_shares("disk", disk, Some(shares.len()))?;
-                    set = set.with_disk_weights(disk);
-                }
-                if let Some(tree) = self.tree.take() {
-                    set = set.with_tree(tree);
-                }
-                Some(set)
-            }
-            None => {
-                if let Some(mem) = &self.memory_shares {
-                    Self::check_shares("memory", mem, None)?;
-                    return Err(ConfigError::EmptyShares { resource: "cpu" });
-                }
-                if let Some(disk) = &self.disk_shares {
-                    Self::check_shares("disk", disk, None)?;
-                    return Err(ConfigError::EmptyShares { resource: "cpu" });
-                }
-                None
-            }
-        };
-        let mut cfg = MachineConfig {
-            cpus: self.cpus,
-            memory_mb: self.memory_mb,
-            disks: vec![DiskSetup::default(); self.disk_count],
-            scheme: self.scheme,
-            tuning: self.tuning.unwrap_or_default(),
-            fault_plan: self.fault_plan,
-        };
-        if let Some(scale) = self.seek_scale {
-            cfg = cfg.with_seek_scale(scale);
-        }
-        if let Some(kind) = self.disk_scheduler {
-            cfg = cfg.with_disk_scheduler(kind);
-        }
-        Ok((cfg, spus))
+        Ok(Some(set.with_tree(SpuTree::new(tree_tenants))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use event_sim::{FaultKind, SimTime};
+    use spu_core::SpuId;
 
     #[test]
     fn frames_from_megabytes() {
@@ -928,27 +633,26 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let t = Tuning::default();
-        assert_eq!(t.tick, SimDuration::from_millis(10));
+        assert_eq!(TICK, SimDuration::from_millis(10));
         assert_eq!(t.slice, SimDuration::from_millis(30));
         assert_eq!(t.reserve_frac, 0.08);
-        assert_eq!(t.bw_half_life, SimDuration::from_millis(500));
+        assert_eq!(BW_HALF_LIFE, SimDuration::from_millis(500));
     }
 
     #[test]
     fn scheduler_derives_from_scheme() {
-        let m = MachineConfig::builder().topology(2, 44, 1).build().unwrap();
-        assert_eq!(
-            m.clone().with_scheme(Scheme::Smp).disk_scheduler(0),
-            SchedulerKind::HeadPosition
-        );
-        assert_eq!(
-            m.clone().with_scheme(Scheme::Quota).disk_scheduler(0),
-            SchedulerKind::BlindFair
-        );
-        assert_eq!(
-            m.clone().with_scheme(Scheme::PIso).disk_scheduler(0),
-            SchedulerKind::Hybrid
-        );
+        for (scheme, kind) in [
+            (Scheme::Smp, SchedulerKind::HeadPosition),
+            (Scheme::Quota, SchedulerKind::BlindFair),
+            (Scheme::PIso, SchedulerKind::Hybrid),
+        ] {
+            let m = MachineConfig::builder()
+                .topology(2, 44, 1)
+                .scheme(scheme)
+                .build()
+                .unwrap();
+            assert_eq!(m.disk_scheduler(0), kind);
+        }
     }
 
     #[test]
@@ -975,72 +679,26 @@ mod tests {
 
     #[test]
     fn builder_validates_machine_quantities() {
-        assert_eq!(
-            MachineConfig::builder().memory_mb(1).disk_count(1).build(),
-            Err(ConfigError::NoCpus)
-        );
-        assert_eq!(
-            MachineConfig::builder().cpus(1).disk_count(1).build(),
-            Err(ConfigError::NoMemory)
-        );
-        assert_eq!(
-            MachineConfig::builder().cpus(1).memory_mb(1).build(),
-            Err(ConfigError::NoDisks)
-        );
-        assert_eq!(
-            MachineConfig::builder()
-                .cpus(1)
-                .memory_mb(1)
-                .disk_count(1)
-                .seek_scale(0.0)
-                .build(),
-            Err(ConfigError::BadSeekScale { value: 0.0 })
-        );
-    }
-
-    #[test]
-    fn builder_validates_share_vectors() {
-        let base = || MachineConfig::builder().cpus(4).memory_mb(16).disk_count(2);
-        assert_eq!(
-            base().shares(&[]).build_with_spus().unwrap_err(),
-            ConfigError::EmptyShares { resource: "cpu" }
-        );
-        assert_eq!(
-            base().shares(&[2, 0, 1]).build_with_spus().unwrap_err(),
-            ConfigError::ZeroShare {
-                resource: "cpu",
-                index: 1
+        let topology = |cpus, mb, disks| MachineConfig::builder().topology(cpus, mb, disks);
+        assert_eq!(topology(0, 1, 1).build(), Err(ConfigError::NoCpus));
+        assert_eq!(topology(1, 0, 1).build(), Err(ConfigError::NoMemory));
+        assert_eq!(topology(1, 1, 0).build(), Err(ConfigError::NoDisks));
+        for scale in [0.0, -0.5, f64::INFINITY, f64::NAN] {
+            let err = topology(1, 1, 1).seek_scale(scale).build().unwrap_err();
+            // Match on the variant: NaN != NaN rules out assert_eq!.
+            match err {
+                ConfigError::BadSeekScale { value } => {
+                    assert_eq!(value.to_bits(), scale.to_bits())
+                }
+                other => panic!("seek scale {scale}: {other:?}"),
             }
-        );
-        assert_eq!(
-            base()
-                .shares(&[1, 1])
-                .memory_shares(&[1, 2, 3])
-                .build_with_spus()
-                .unwrap_err(),
-            ConfigError::ShareCountMismatch {
-                resource: "memory",
-                expected: 2,
-                got: 3
-            }
-        );
-        let (cfg, spus) = base()
-            .scheme(Scheme::Quota)
-            .shares(&[1, 3])
-            .disk_shares(&[2, 2])
-            .build_with_spus()
-            .unwrap();
-        assert_eq!(cfg.scheme, Scheme::Quota);
-        assert_eq!(spus.user_count(), 2);
-        assert_eq!(spus.weight(spu_core::SpuId::user(1)), 3);
+        }
     }
 
     #[test]
     fn builder_fills_every_config_field() {
         let built = MachineConfig::builder()
-            .cpus(2)
-            .memory_mb(44)
-            .disk_count(1)
+            .topology(2, 44, 1)
             .scheme(Scheme::PIso)
             .seek_scale(0.5)
             .disk_scheduler(SchedulerKind::Hybrid)
@@ -1055,7 +713,7 @@ mod tests {
             }],
             scheme: Scheme::PIso,
             tuning: Tuning::default(),
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
         };
         assert_eq!(built, by_hand);
         assert_eq!(built.fingerprint_digest(), by_hand.fingerprint_digest());
@@ -1063,97 +721,72 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_configs() {
-        let mk = || MachineConfig::builder().topology(2, 44, 1);
-        let a = mk().build().unwrap();
-        let b = mk().scheme(Scheme::Smp).build().unwrap();
-        let c = MachineConfig::builder().topology(2, 45, 1).build().unwrap();
-        assert_ne!(a.fingerprint_digest(), b.fingerprint_digest());
-        assert_ne!(a.fingerprint_digest(), c.fingerprint_digest());
-        assert_eq!(
-            a.fingerprint_digest(),
-            mk().build().unwrap().fingerprint_digest()
-        );
-    }
+        let base = || MachineConfig::builder().topology(2, 44, 1);
+        let digest = base().build().unwrap().fingerprint_digest();
+        assert_eq!(base().build().unwrap().fingerprint_digest(), digest);
 
-    #[test]
-    fn spus_matches_explicit_equal_shares() {
-        let (cfg_a, spus_a) = MachineConfig::builder()
-            .topology(8, 44, 8)
-            .scheme(Scheme::PIso)
-            .spus(8, 1)
-            .build_with_spus()
-            .unwrap();
-        let (cfg_b, spus_b) = MachineConfig::builder()
-            .topology(8, 44, 8)
-            .scheme(Scheme::PIso)
-            .shares(&[1; 8])
-            .build_with_spus()
-            .unwrap();
-        assert_eq!(cfg_a, cfg_b);
-        assert_eq!(spus_a, spus_b);
-        assert_eq!(spus_a, SpuSet::equal_users(8));
-    }
-
-    #[test]
-    fn spu_overrides_refine_topology_declaration() {
-        let (_, spus) = MachineConfig::builder()
-            .topology(4, 44, 2)
-            .spus(4, 2)
-            .spu_share(1, 5)
-            .spu_share(1, 7) // later override of the same index wins
-            .spu_memory_share(3, 1)
-            .build_with_spus()
-            .unwrap();
-        assert_eq!(spus, {
-            // CPU vector with the override applied; memory materialized
-            // from CPU weights, then its own override.
-            SpuSet::with_weights(&[2, 7, 2, 2]).with_memory_weights(&[2, 7, 2, 1])
-        });
-    }
-
-    #[test]
-    fn plain_spus_skips_memory_and_disk_vectors() {
-        // No memory/disk overrides → no memory/disk vectors, so the
-        // sharing fingerprint matches the classic equal-shares path.
-        let (_, spus) = MachineConfig::builder()
-            .topology(4, 44, 2)
-            .spus(3, 1)
-            .build_with_spus()
-            .unwrap();
-        assert!(spus.memory_weights().is_none());
-        assert!(spus.disk_weights().is_none());
-    }
-
-    #[test]
-    fn spu_override_out_of_range_is_rejected() {
-        let err = MachineConfig::builder()
-            .topology(4, 44, 2)
-            .spus(4, 1)
-            .spu_share(4, 9)
-            .build_with_spus()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::SpuIndexOutOfRange {
-                resource: "cpu",
-                index: 4,
-                count: 4
-            }
-        );
-        let err = MachineConfig::builder()
-            .topology(4, 44, 2)
-            .spus(2, 1)
-            .spu_disk_share(3, 9)
-            .build_with_spus()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::SpuIndexOutOfRange {
-                resource: "disk",
-                index: 3,
-                count: 2
-            }
-        );
+        // Every input must reach the digest. No `..` in these patterns:
+        // a new field breaks them until it gets a case below.
+        let MachineConfig {
+            cpus: _,
+            memory_mb: _,
+            disks: _,
+            scheme: _,
+            tuning: _,
+            fault_plan: _,
+        } = base().build().unwrap();
+        let Tuning {
+            slice: _,
+            reserve_frac: _,
+            bw_threshold: _,
+            prefetch_windows: _,
+            kernel_mem_frac: _,
+            lookup_cost: _,
+            rw_inode_lock: _,
+            ipi_revocation: _,
+            admission_cap: _,
+            queue_cap: _,
+            shed_policy: _,
+            request_timeout: _,
+            request_max_retries: _,
+            request_retry_base: _,
+            request_retry_cap: _,
+        } = Tuning::default();
+        let tuned = |set: &dyn Fn(&mut Tuning)| {
+            let mut t = Tuning::default();
+            set(&mut t);
+            base().tuning(t)
+        };
+        let ms = SimDuration::from_millis;
+        let plan = FaultPlan::new().at(SimTime::ZERO, FaultKind::DiskRepair { disk: 0 });
+        let cases = [
+            ("cpus", MachineConfig::builder().topology(3, 44, 1)),
+            ("memory_mb", MachineConfig::builder().topology(2, 45, 1)),
+            ("disk count", MachineConfig::builder().topology(2, 44, 2)),
+            ("seek scale", base().seek_scale(0.5)),
+            ("scheduler", base().disk_scheduler(SchedulerKind::Hybrid)),
+            ("scheme", base().scheme(Scheme::Smp)),
+            ("fault plan", base().fault_plan(plan)),
+            ("slice", tuned(&|t| t.slice = ms(2))),
+            ("reserve_frac", tuned(&|t| t.reserve_frac = 0.2)),
+            ("bw_threshold", tuned(&|t| t.bw_threshold = 1.0)),
+            ("prefetch_windows", tuned(&|t| t.prefetch_windows = 1)),
+            ("kernel_mem_frac", tuned(&|t| t.kernel_mem_frac = 0.2)),
+            ("lookup_cost", tuned(&|t| t.lookup_cost = ms(1))),
+            ("rw_inode_lock", tuned(&|t| t.rw_inode_lock = false)),
+            ("ipi_revocation", tuned(&|t| t.ipi_revocation = true)),
+            ("admission_cap", tuned(&|t| t.admission_cap = 3)),
+            ("queue_cap", tuned(&|t| t.queue_cap = 2)),
+            ("shed_policy", tuned(&|t| t.shed_policy = ShedPolicy::Codel)),
+            ("request_timeout", tuned(&|t| t.request_timeout = ms(100))),
+            ("request_max_retries", tuned(&|t| t.request_max_retries = 0)),
+            ("retry_base", tuned(&|t| t.request_retry_base = ms(10))),
+            ("retry_cap", tuned(&|t| t.request_retry_cap = ms(160))),
+        ];
+        for (field, changed) in cases {
+            let changed = changed.build().unwrap().fingerprint_digest();
+            assert_ne!(changed, digest, "{field} is not fingerprinted");
+        }
     }
 
     #[test]
@@ -1170,11 +803,11 @@ mod tests {
             .unwrap();
         assert!(spus.is_hierarchical());
         assert_eq!(spus.user_count(), 3);
-        assert_eq!(spus.weight(spu_core::SpuId::user(1)), 2);
-        assert_eq!(spus.path(spu_core::SpuId::user(0)), "acme/web");
-        assert_eq!(spus.path(spu_core::SpuId::user(2)), "globex/api");
-        assert_eq!(spus.tenant_of(spu_core::SpuId::user(1)), Some(0));
-        assert_eq!(spus.tenant_of(spu_core::SpuId::user(2)), Some(1));
+        assert_eq!(spus.weight(SpuId::user(1)), 2);
+        assert_eq!(spus.path(SpuId::user(0)), "acme/web");
+        assert_eq!(spus.path(SpuId::user(2)), "globex/api");
+        assert_eq!(spus.tenant_of(SpuId::user(1)), Some(0));
+        assert_eq!(spus.tenant_of(SpuId::user(2)), Some(1));
     }
 
     #[test]
@@ -1230,21 +863,15 @@ mod tests {
             .service("web", 0)
             .build_with_spus()
             .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ZeroShare {
-                resource: "cpu",
-                index: 0
-            }
-        );
+        assert_eq!(err, ConfigError::ZeroShare { index: 0 });
     }
 
     #[test]
     fn tenants_and_flat_surfaces_last_call_wins() {
-        // tenant() after shares() replaces the flat vector...
+        // tenant() after spus() replaces the flat declaration...
         let (_, spus) = MachineConfig::builder()
             .topology(2, 44, 1)
-            .shares(&[9, 9])
+            .spus(2, 9)
             .tenant("acme", 1)
             .service("web", 1)
             .build_with_spus()
@@ -1264,45 +891,23 @@ mod tests {
     }
 
     #[test]
-    fn shares_and_spus_last_call_wins() {
-        let (_, spus) = MachineConfig::builder()
-            .topology(2, 44, 1)
-            .shares(&[9, 9])
-            .spus(3, 1)
-            .build_with_spus()
-            .unwrap();
-        assert_eq!(spus, SpuSet::equal_users(3));
-        let (_, spus) = MachineConfig::builder()
-            .topology(2, 44, 1)
-            .spus(3, 1)
-            .shares(&[9, 9])
-            .build_with_spus()
-            .unwrap();
-        assert_eq!(spus, SpuSet::with_weights(&[9, 9]));
-    }
-
-    #[test]
     fn spus_validates_through_share_pipeline() {
-        // A zero default share is rejected by the same validation as an
-        // explicit zero weight.
+        let spus = |count, share| {
+            MachineConfig::builder()
+                .topology(2, 44, 1)
+                .spus(count, share)
+                .build_with_spus()
+        };
+        // Equal shares of 1 are exactly `SpuSet::equal_users`, with no
+        // separate memory or disk weights.
+        assert_eq!(spus(8, 1).unwrap().1, SpuSet::equal_users(8));
+        assert_eq!(spus(0, 1).unwrap_err(), ConfigError::EmptyShares);
+        assert_eq!(spus(2, 0).unwrap_err(), ConfigError::ZeroShare { index: 0 });
+        // Without a declaration there is no SPU set to return.
         let err = MachineConfig::builder()
             .topology(2, 44, 1)
-            .spus(2, 0)
             .build_with_spus()
             .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ZeroShare {
-                resource: "cpu",
-                index: 0
-            }
-        );
-        // Overrides without a declared SPU set have nothing to refine.
-        let err = MachineConfig::builder()
-            .topology(2, 44, 1)
-            .spu_share(0, 3)
-            .build_with_spus()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::EmptyShares { resource: "cpu" });
+        assert_eq!(err, ConfigError::EmptyShares);
     }
 }

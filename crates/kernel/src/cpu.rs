@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use hp_disk::{DiskRequest, RequestKind};
 
+use crate::config::TICK;
 use crate::error::KernelError;
 use crate::event::Event;
 use crate::io::IoPurpose;
@@ -210,8 +211,7 @@ impl Kernel {
         // after a revocation shuffle).
         self.fill_idle_cpus();
         if self.live_procs > 0 {
-            self.events
-                .schedule(self.now + self.cfg.tuning.tick, Event::Tick);
+            self.events.schedule(self.now + TICK, Event::Tick);
         }
     }
 
@@ -284,15 +284,13 @@ impl Kernel {
     /// Runs the current process's micro-ops until it consumes CPU time
     /// (an `OpDone` event is scheduled), blocks, or exits.
     pub(crate) fn interpret(&mut self, cpu: usize) {
-        // Hoisted: tuning is immutable for the whole run, and the clone
-        // (a ~200-byte struct) used to be paid once per micro-op.
-        let tuning = self.cfg.tuning.clone();
+        let lookup_cost = self.cfg.tuning.lookup_cost;
         loop {
             let pid = match self.sched.cpu(cpu).running {
                 Some(p) => p,
                 None => return,
             };
-            let micro = match self.procs.get_mut(pid).current_micro(&tuning) {
+            let micro = match self.procs.get_mut(pid).current_micro(lookup_cost) {
                 Some(m) => m.clone(),
                 None => {
                     if let Err(e) = self.deschedule(cpu) {

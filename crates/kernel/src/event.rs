@@ -6,6 +6,7 @@
 use event_sim::FaultKind;
 use hp_disk::DiskRequest;
 
+use crate::config::{MEM_POLICY_PERIOD, SYNC_PERIOD};
 use crate::kernel::Kernel;
 use crate::process::Pid;
 use crate::trace::TraceEvent;
@@ -62,7 +63,7 @@ impl Kernel {
                 self.flush_dirty(usize::MAX);
                 if self.live_procs > 0 {
                     self.events
-                        .schedule(self.now + self.cfg.tuning.sync_period, Event::SyncDaemon);
+                        .schedule(self.now + SYNC_PERIOD, Event::SyncDaemon);
                 }
             }
             Event::MemPolicy => {
@@ -71,10 +72,8 @@ impl Kernel {
                 self.wake_mem_waiters();
                 self.audit_ledger();
                 if self.live_procs > 0 {
-                    self.events.schedule(
-                        self.now + self.cfg.tuning.mem_policy_period,
-                        Event::MemPolicy,
-                    );
+                    self.events
+                        .schedule(self.now + MEM_POLICY_PERIOD, Event::MemPolicy);
                 }
             }
             Event::Ipi => {

@@ -8,7 +8,10 @@ use hp_disk::{DiskRequest, RequestKind};
 use spu_core::SpuId;
 
 use crate::bufcache::CacheEntry;
-use crate::config::SECTORS_PER_PAGE;
+use crate::config::{
+    COPY_COST, DIRTY_HIGH_FRAC, DIRTY_LOW_FRAC, IO_MAX_RETRIES, IO_RETRY_BASE, IO_RETRY_CAP,
+    IO_TIMEOUT, READAHEAD_BLOCKS, SECTORS_PER_PAGE,
+};
 use crate::error::KernelError;
 use crate::event::Event;
 use crate::fs::FileId;
@@ -61,10 +64,9 @@ impl Kernel {
                 // ("There are multiple outstanding reads because of
                 // read-ahead by the kernel", §4.5).
                 self.maybe_prefetch(spu, file, block);
-                let copy = self.cfg.tuning.copy_cost;
                 let p = self.procs.get_mut(pid);
                 p.pop_micro();
-                p.push_front_micro(MicroOp::Cpu(copy));
+                p.push_front_micro(MicroOp::Cpu(COPY_COST));
                 true
             }
             Some(CacheEntry::Filling { tag, .. }) => {
@@ -85,7 +87,7 @@ impl Kernel {
                     self.admission[spu.index()].brownout_skips += 1;
                     1
                 } else {
-                    1 + self.cfg.tuning.readahead_blocks as u64
+                    1 + READAHEAD_BLOCKS as u64
                 };
                 let mut frames = self.take_frame_vec();
                 let mut b = block;
@@ -157,9 +159,9 @@ impl Kernel {
             return;
         }
         let meta = self.fs.meta(file).clone();
-        let ra = self.cfg.tuning.readahead_blocks as u64 + 1;
+        let ra = READAHEAD_BLOCKS as u64 + 1;
         let windows = self.cfg.tuning.prefetch_windows;
-        if ra == 0 || windows == 0 {
+        if windows == 0 {
             return;
         }
         // Scan ahead a bounded distance for the first uncached block.
@@ -228,7 +230,7 @@ impl Kernel {
     ) -> bool {
         // Dirty-buffer throttle: "The buffer cache fills up causing
         // writes to the disk" (§4.5).
-        let high = (self.cfg.total_frames() as f64 * self.cfg.tuning.dirty_high_frac) as u64;
+        let high = (self.cfg.total_frames() as f64 * DIRTY_HIGH_FRAC) as u64;
         if self.cache.dirty_load() >= high {
             self.flush_dirty(usize::MAX);
             self.dirty_waiters.push(pid);
@@ -239,10 +241,9 @@ impl Kernel {
         match self.cache.lookup(file, block) {
             Some(CacheEntry::Valid { .. }) => {
                 self.cache.mark_dirty(file, block);
-                let copy = self.cfg.tuning.copy_cost;
                 let p = self.procs.get_mut(pid);
                 p.pop_micro();
-                p.push_front_micro(MicroOp::Cpu(copy));
+                p.push_front_micro(MicroOp::Cpu(COPY_COST));
                 true
             }
             Some(CacheEntry::Filling { tag, .. }) => {
@@ -264,10 +265,9 @@ impl Kernel {
                             self.handle_eviction(ev, None);
                         }
                         self.cache.insert_valid(file, block, frame, true);
-                        let copy = self.cfg.tuning.copy_cost;
                         let p = self.procs.get_mut(pid);
                         p.pop_micro();
-                        p.push_front_micro(MicroOp::Cpu(copy));
+                        p.push_front_micro(MicroOp::Cpu(COPY_COST));
                         true
                     }
                     Acquired::Denied => {
@@ -445,7 +445,7 @@ impl Kernel {
                     self.vm.set_pinned(f, false);
                 }
                 self.recycle_frame_vec(frames);
-                let low = (self.cfg.total_frames() as f64 * self.cfg.tuning.dirty_low_frac) as u64;
+                let low = (self.cfg.total_frames() as f64 * DIRTY_LOW_FRAC) as u64;
                 if self.cache.dirty_load() <= low && !self.dirty_waiters.is_empty() {
                     for w in std::mem::take(&mut self.dirty_waiters) {
                         self.make_ready(w);
@@ -460,13 +460,6 @@ impl Kernel {
     /// Recovery policy for a failed disk request: capped exponential
     /// backoff retries, then fail the request up to the owning process.
     pub(crate) fn handle_io_error(&mut self, disk: usize, req: DiskRequest) {
-        let t = &self.cfg.tuning;
-        let (max_retries, base, cap, timeout) = (
-            t.io_max_retries,
-            t.io_retry_base,
-            t.io_retry_cap,
-            t.io_timeout,
-        );
         let entry = self.retries.entry(req.tag).or_insert(RetryState {
             attempts: 0,
             first_error: self.now,
@@ -474,9 +467,9 @@ impl Kernel {
         entry.attempts += 1;
         let attempts = entry.attempts;
         let elapsed = self.now.saturating_since(entry.first_error);
-        if attempts <= max_retries && elapsed < timeout {
+        if attempts <= IO_MAX_RETRIES && elapsed < IO_TIMEOUT {
             self.counters.add_id(self.counter_ids.fault_io_retries, 1);
-            let delay = backoff_delay(attempts - 1, base, cap);
+            let delay = backoff_delay(attempts - 1, IO_RETRY_BASE, IO_RETRY_CAP);
             self.events.schedule(
                 self.now + delay,
                 Event::IoRetry {
@@ -548,7 +541,7 @@ impl Kernel {
                     self.vm.set_pinned(f, false);
                 }
                 self.recycle_frame_vec(frames);
-                let low = (self.cfg.total_frames() as f64 * self.cfg.tuning.dirty_low_frac) as u64;
+                let low = (self.cfg.total_frames() as f64 * DIRTY_LOW_FRAC) as u64;
                 if self.cache.dirty_load() <= low && !self.dirty_waiters.is_empty() {
                     for w in std::mem::take(&mut self.dirty_waiters) {
                         self.make_ready(w);

@@ -23,7 +23,7 @@ use hp_disk::{DiskDevice, DiskModel};
 use spu_core::{CpuPartition, LedgerAuditor, SpuId, SpuSet};
 
 use crate::bufcache::BufferCache;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, BW_HALF_LIFE, MEM_POLICY_PERIOD, SYNC_PERIOD, TICK};
 use crate::error::KernelError;
 use crate::event::Event;
 use crate::fs::{FileId, FileSystem};
@@ -263,7 +263,7 @@ impl Kernel {
                     n_spus,
                 )
                 .with_bw_threshold(cfg.tuning.bw_threshold)
-                .with_half_life(cfg.tuning.bw_half_life)
+                .with_half_life(BW_HALF_LIFE)
             })
             .collect();
         let mut disks = disks;
@@ -324,7 +324,7 @@ impl Kernel {
             slo_samples: Vec::new(),
             retries: FastMap::default(),
             errors: Vec::new(),
-            auditor: LedgerAuditor::new(n_spus, cfg.tuning.mem_policy_period.mul_f64(3.0)),
+            auditor: LedgerAuditor::new(n_spus, MEM_POLICY_PERIOD.mul_f64(3.0)),
             last_denials: 0,
             frame_vec_pool: Vec::new(),
             micro_pool: Vec::new(),
@@ -564,20 +564,17 @@ impl Kernel {
     /// Drives the simulation until every process exits or `cap` is
     /// reached. Returns the collected metrics.
     pub fn run(&mut self, cap: SimTime) -> RunMetrics {
-        let t = &self.cfg.tuning;
-        self.events.schedule(self.now + t.tick, Event::Tick);
+        self.events.schedule(self.now + TICK, Event::Tick);
         self.events
-            .schedule(self.now + t.sync_period, Event::SyncDaemon);
+            .schedule(self.now + SYNC_PERIOD, Event::SyncDaemon);
         self.events
-            .schedule(self.now + t.mem_policy_period, Event::MemPolicy);
+            .schedule(self.now + MEM_POLICY_PERIOD, Event::MemPolicy);
         if let Some(iv) = self.sample_interval {
             self.on_sample(); // baseline sample at run start
             self.events.schedule(self.now + iv, Event::Sample);
         }
-        if let Some(plan) = self.cfg.fault_plan.clone() {
-            for e in plan.events() {
-                self.events.schedule(e.at, Event::Fault(e.kind));
-            }
+        for e in self.cfg.fault_plan.events() {
+            self.events.schedule(e.at, Event::Fault(e.kind));
         }
         let mut completed = false;
         // Drain same-instant events in one batch per queue visit: swap-in

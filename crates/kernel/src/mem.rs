@@ -7,7 +7,7 @@ use hp_disk::{DiskRequest, RequestKind};
 use spu_core::SpuId;
 
 use crate::bufcache::CacheEntry;
-use crate::config::SECTORS_PER_PAGE;
+use crate::config::{SECTORS_PER_PAGE, ZERO_FILL_COST};
 use crate::io::IoPurpose;
 use crate::kernel::Kernel;
 use crate::process::{BlockReason, MicroOp, PageState, Pid};
@@ -89,7 +89,7 @@ impl Kernel {
                     });
                 }
                 PageState::Unmapped => {
-                    cpu_cost += self.cfg.tuning.zero_fill_cost;
+                    cpu_cost += ZERO_FILL_COST;
                     self.vm.count_fault(spu, false);
                     self.trace.push(TraceEvent::Fault {
                         at: self.now,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use event_sim::{SimDuration, SimTime};
 use spu_core::SpuId;
 
-use crate::config::{Tuning, PAGE_SIZE};
+use crate::config::{FORK_COST, PAGE_SIZE, TOUCH_INTERVAL};
 use crate::fs::FileId;
 use crate::locks::LockId;
 use crate::program::{BarrierId, Program, ProgramOp};
@@ -209,13 +209,14 @@ impl Process {
         }
     }
 
-    /// The current front micro-op, expanding program ops as needed.
+    /// The current front micro-op, expanding program ops as needed
+    /// (`lookup_cost` is [`Tuning::lookup_cost`](crate::Tuning)).
     /// `None` means the program has finished.
-    pub fn current_micro(&mut self, tuning: &Tuning) -> Option<&MicroOp> {
+    pub fn current_micro(&mut self, lookup_cost: SimDuration) -> Option<&MicroOp> {
         while self.micro.is_empty() {
             let op = self.program.ops().get(self.pc)?.clone();
             self.pc += 1;
-            expand_op(&op, tuning, &mut self.micro);
+            expand_op(&op, lookup_cost, &mut self.micro);
         }
         self.micro.front()
     }
@@ -363,8 +364,9 @@ impl PageArena {
     }
 }
 
-/// Expands one program op into micro-ops, appended to `out`.
-pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
+/// Expands one program op into micro-ops, appended to `out`; a
+/// pathname lookup costs `lookup_cost` of CPU.
+pub fn expand_op(op: &ProgramOp, lookup_cost: SimDuration, out: &mut VecDeque<MicroOp>) {
     match op {
         ProgramOp::Compute {
             duration,
@@ -375,7 +377,7 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
             } else {
                 let mut remaining = *duration;
                 while !remaining.is_zero() {
-                    let chunk = remaining.min(tuning.touch_interval);
+                    let chunk = remaining.min(TOUCH_INTERVAL);
                     out.push_back(MicroOp::Touch {
                         pages: *working_set,
                         cursor: 0,
@@ -391,7 +393,7 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
             offset,
             bytes,
         } => {
-            lookup_micro_ops(*file, false, tuning, out);
+            lookup_micro_ops(lookup_cost, out);
             for block in block_range(*offset, *bytes) {
                 out.push_back(MicroOp::BlockRead { file: *file, block });
             }
@@ -401,7 +403,7 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
             offset,
             bytes,
         } => {
-            lookup_micro_ops(*file, false, tuning, out);
+            lookup_micro_ops(lookup_cost, out);
             for block in block_range(*offset, *bytes) {
                 out.push_back(MicroOp::BlockWrite { file: *file, block });
             }
@@ -413,7 +415,7 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
                 lock: LockId::inode(*file),
                 excl: true,
             });
-            out.push_back(MicroOp::Cpu(tuning.lookup_cost));
+            out.push_back(MicroOp::Cpu(lookup_cost));
             out.push_back(MicroOp::MetaWrite { file: *file });
             out.push_back(MicroOp::AwaitIo);
             out.push_back(MicroOp::LockRelease {
@@ -421,7 +423,7 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
             });
         }
         ProgramOp::Fork { program } => {
-            out.push_back(MicroOp::Cpu(tuning.fork_cost));
+            out.push_back(MicroOp::Cpu(FORK_COST));
             out.push_back(MicroOp::Fork(Arc::clone(program)));
         }
         ProgramOp::WaitChildren => out.push_back(MicroOp::WaitChildren),
@@ -432,14 +434,15 @@ pub fn expand_op(op: &ProgramOp, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
     }
 }
 
-/// Pathname lookup: hold the root inode lock (shared under the §3.4 fix,
-/// exclusive under the stock mutex) for the lookup cost.
-fn lookup_micro_ops(_file: FileId, excl: bool, tuning: &Tuning, out: &mut VecDeque<MicroOp>) {
+/// Pathname lookup: hold the root inode lock for the lookup cost. The
+/// lookup asks for a shared hold; the [`LockTable`](crate::LockTable)
+/// makes it exclusive under the stock mutex (no §3.4 fix).
+fn lookup_micro_ops(lookup_cost: SimDuration, out: &mut VecDeque<MicroOp>) {
     out.push_back(MicroOp::LockAcquire {
         lock: LockId::ROOT,
-        excl,
+        excl: false,
     });
-    out.push_back(MicroOp::Cpu(tuning.lookup_cost));
+    out.push_back(MicroOp::Cpu(lookup_cost));
     out.push_back(MicroOp::LockRelease { lock: LockId::ROOT });
 }
 
@@ -457,6 +460,8 @@ pub fn block_range(offset: u64, bytes: u64) -> std::ops::Range<u64> {
 mod tests {
     use super::*;
 
+    const LOOKUP: SimDuration = SimDuration::from_micros(40);
+
     fn mk(program: Arc<Program>) -> Process {
         Process::new(Pid(1), SpuId::user(0), None, program, None, SimTime::ZERO)
     }
@@ -472,12 +477,11 @@ mod tests {
 
     #[test]
     fn compute_with_working_set_interleaves_touch() {
-        let t = Tuning::default();
         let p = Program::builder("c")
             .compute(SimDuration::from_millis(100), 32)
             .build();
         let mut proc = mk(p);
-        let first = proc.current_micro(&t).unwrap();
+        let first = proc.current_micro(LOOKUP).unwrap();
         assert!(
             matches!(
                 first,
@@ -492,7 +496,7 @@ mod tests {
         // 100ms at 50ms touch interval = 2 chunks of [Touch, Cpu].
         let mut cpu_total = SimDuration::ZERO;
         let mut touches = 1;
-        while let Some(m) = proc.current_micro(&t) {
+        while let Some(m) = proc.current_micro(LOOKUP) {
             match m {
                 MicroOp::Cpu(d) => cpu_total += *d,
                 MicroOp::Touch { .. } => touches += 1,
@@ -506,26 +510,24 @@ mod tests {
 
     #[test]
     fn compute_without_working_set_is_one_burst() {
-        let t = Tuning::default();
         let p = Program::builder("c")
             .compute(SimDuration::from_millis(500), 0)
             .build();
         let mut proc = mk(p);
         assert!(matches!(
-            proc.current_micro(&t).unwrap(),
+            proc.current_micro(LOOKUP).unwrap(),
             MicroOp::Cpu(d) if *d == SimDuration::from_millis(500)
         ));
         proc.pop_micro();
-        assert!(proc.current_micro(&t).is_none());
+        assert!(proc.current_micro(LOOKUP).is_none());
     }
 
     #[test]
     fn read_expands_to_lookup_then_blocks() {
-        let t = Tuning::default();
         let p = Program::builder("r").read(FileId(3), 0, 12_288).build();
         let mut proc = mk(p);
         let mut kinds = Vec::new();
-        while let Some(m) = proc.current_micro(&t) {
+        while let Some(m) = proc.current_micro(LOOKUP) {
             kinds.push(format!("{m:?}"));
             proc.pop_micro();
         }
@@ -540,11 +542,10 @@ mod tests {
 
     #[test]
     fn meta_write_holds_inode_lock_across_io() {
-        let t = Tuning::default();
         let p = Program::builder("m").meta_write(FileId(0)).build();
         let mut proc = mk(p);
         let mut kinds = Vec::new();
-        while let Some(m) = proc.current_micro(&t) {
+        while let Some(m) = proc.current_micro(LOOKUP) {
             kinds.push(format!("{m:?}"));
             proc.pop_micro();
         }
@@ -556,24 +557,25 @@ mod tests {
 
     #[test]
     fn consume_cpu_partial_and_complete() {
-        let t = Tuning::default();
         let p = Program::builder("c")
             .compute(SimDuration::from_millis(30), 0)
             .build();
         let mut proc = mk(p);
-        proc.current_micro(&t);
+        proc.current_micro(LOOKUP);
         assert!(!proc.consume_cpu(SimDuration::from_millis(10)));
         assert!(!proc.consume_cpu(SimDuration::from_millis(10)));
         assert!(proc.consume_cpu(SimDuration::from_millis(10)));
-        assert!(proc.current_micro(&t).is_none());
+        assert!(proc.current_micro(LOOKUP).is_none());
     }
 
     #[test]
     fn alloc_expands_to_alloc_micro_op() {
-        let t = Tuning::default();
         let p = Program::builder("a").alloc(4).build();
         let mut proc = mk(p);
-        assert!(matches!(proc.current_micro(&t).unwrap(), MicroOp::Alloc(4)));
+        assert!(matches!(
+            proc.current_micro(LOOKUP).unwrap(),
+            MicroOp::Alloc(4)
+        ));
     }
 
     #[test]
@@ -599,16 +601,21 @@ mod tests {
 
     #[test]
     fn fork_costs_cpu_then_forks() {
-        let t = Tuning::default();
         let child = Program::builder("child").build();
         let p = Program::builder("f").fork(child).wait_children().build();
         let mut proc = mk(p);
-        assert!(matches!(proc.current_micro(&t).unwrap(), MicroOp::Cpu(_)));
-        proc.pop_micro();
-        assert!(matches!(proc.current_micro(&t).unwrap(), MicroOp::Fork(_)));
+        assert!(matches!(
+            proc.current_micro(LOOKUP).unwrap(),
+            MicroOp::Cpu(_)
+        ));
         proc.pop_micro();
         assert!(matches!(
-            proc.current_micro(&t).unwrap(),
+            proc.current_micro(LOOKUP).unwrap(),
+            MicroOp::Fork(_)
+        ));
+        proc.pop_micro();
+        assert!(matches!(
+            proc.current_micro(LOOKUP).unwrap(),
             MicroOp::WaitChildren
         ));
     }

@@ -296,13 +296,13 @@ fn empty_plan_equals_no_plan() {
         let m = k.run(secs(60));
         smp_kernel::metrics_jsonl(&m)
     };
-    let base = MachineConfig::builder()
-        .topology(2, 32, 1)
-        .scheme(Scheme::PIso)
-        .build()
-        .unwrap();
-    let without = run(base.clone());
-    let with = run(base.with_fault_plan(FaultPlan::new()));
+    let base = || {
+        MachineConfig::builder()
+            .topology(2, 32, 1)
+            .scheme(Scheme::PIso)
+    };
+    let without = run(base().build().unwrap());
+    let with = run(base().fault_plan(FaultPlan::new()).build().unwrap());
     assert_eq!(without, with, "an empty fault plan must change nothing");
 }
 

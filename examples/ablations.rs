@@ -13,17 +13,13 @@
 //! the 15 ablation cells in parallel)
 
 use perf_isolation::experiments::ablation::AblationScenario;
-use perf_isolation::experiments::sweep::{self, Render, SweepOptions};
-use perf_isolation::experiments::Scale;
+use perf_isolation::experiments::cli::Args;
+use perf_isolation::experiments::sweep::{self, Render};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
 
     println!("Running ablations ({scale:?} scale)...\n");
     let report = sweep::run_scenario(&AblationScenario::standard(scale), &opts).report;

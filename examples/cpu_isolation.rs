@@ -7,19 +7,15 @@
 //! (pass `--quick` for the reduced-scale variant, `--threads N` to run
 //! the three scheme cells in parallel)
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::cpu_iso::CpuIsoScenario;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
     println!("{}", tables::figure4());
     println!("Running the CPU-isolation workload ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&CpuIsoScenario { scale }, &opts).report;

@@ -17,36 +17,17 @@
 //! parallel cells; with `--cpu-scale`: `--max-cpus N` truncates the
 //! ladder and `--out FILE` writes the per-cell outcome JSONL artifact)
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::scaling::{self, CpuScaleScenario, ScalingScenario};
-use perf_isolation::experiments::sweep::{self, Render, SweepOptions};
-use perf_isolation::experiments::Scale;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == name {
-            return iter.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use perf_isolation::experiments::sweep::{self, Render};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads", "--cpu-scale", "--max-cpus", "--out"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
 
-    if args.iter().any(|a| a == "--cpu-scale") {
-        let max_cpus = flag_value(&args, "--max-cpus")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(usize::MAX);
+    if args.cpu_scale {
+        let max_cpus = args.max_cpus.unwrap_or(usize::MAX);
         let scenario = CpuScaleScenario::capped(scale, max_cpus);
         println!("Sweeping machine size under PIso ({scale:?} scale)...\n");
         let run = sweep::run_scenario(&scenario, &opts);
@@ -57,8 +38,8 @@ fn main() {
             scaling::throughput_summary(&run.report.rows, &run.stats)
         );
         let violations = run.report.isolation_violations();
-        if let Some(path) = flag_value(&args, "--out") {
-            std::fs::write(&path, &run.outcomes_jsonl).expect("write outcome artifact");
+        if let Some(path) = &args.out {
+            std::fs::write(path, &run.outcomes_jsonl).expect("write outcome artifact");
             println!("wrote {path}");
         }
         assert!(

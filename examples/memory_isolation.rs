@@ -12,20 +12,16 @@
 //! the memory rows show `allowed` rising above `entitled` while idle
 //! pages are on loan and dropping back on revocation.
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::mem_iso::{self, MemIsoScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
     println!("{}", tables::figure6());
     println!("Running the memory-isolation workload ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&MemIsoScenario { scale }, &opts).report;

@@ -11,18 +11,14 @@
 //! (pass `--quick` for the reduced-scale variant, `--threads N` to run
 //! the two scheduler cells in parallel)
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::net_bw::NetBwScenario;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
-use perf_isolation::experiments::Scale;
+use perf_isolation::experiments::sweep;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
     println!("Running the network-bandwidth scenario ({scale:?} scale)...\n");
     let t = sweep::run_scenario(&NetBwScenario { scale }, &opts).report;
     println!("{}", t.format());

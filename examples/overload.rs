@@ -24,35 +24,16 @@
 //! * `overload_matrix.json` — the full matrix, one JSON document (the
 //!   CI artifact).
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::overload::{self, OverloadScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
-use perf_isolation::experiments::Scale;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == name {
-            return iter.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use perf_isolation::experiments::sweep;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let cpus: usize = flag_value(&args, "--cpus")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(overload::SEED_CPUS);
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads", "--cpus"]);
+    let scale = args.scale();
+    let cpus = args.cpus.unwrap_or(overload::SEED_CPUS);
+    let opts = args.sweep_options();
     println!(
         "Running the overload matrix: scheme x shed policy x load \
          ({scale:?} scale, {cpus} CPUs)...\n"

@@ -22,23 +22,20 @@
 
 use std::time::Instant;
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep::{self, SweepOptions, SweepOutput};
 use perf_isolation::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    if let Some(n) = compare_threads(&args) {
+    let args = Args::from_env(&["--quick", "--threads", "--compare-threads"]);
+    let scale = args.scale();
+    if let Some(n) = args.compare_threads {
         compare(scale, n);
         return;
     }
 
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let opts = args.sweep_options();
 
     let mut outcomes = String::new();
     let mut counters = String::new();
@@ -56,21 +53,6 @@ fn main() {
         ],
     )
     .expect("write results/");
-}
-
-/// Parses `--compare-threads N` (either `--compare-threads 4` or
-/// `--compare-threads=4`).
-fn compare_threads(args: &[String]) -> Option<usize> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--compare-threads" {
-            return iter.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--compare-threads=") {
-            return v.parse().ok();
-        }
-    }
-    None
 }
 
 /// Runs every scenario serially and then with `threads` workers,

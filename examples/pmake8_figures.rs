@@ -17,20 +17,16 @@
 //! * `pmake8_trace.json` — Chrome trace-event JSON, loadable in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`.
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::pmake8::{self, Pmake8Scenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
+use perf_isolation::experiments::sweep;
 use perf_isolation::experiments::tables;
-use perf_isolation::experiments::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
     println!("{}", tables::figure1());
     println!("Running the Pmake8 workload under SMP, Quo, and PIso ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&Pmake8Scenario { scale }, &opts).report;

@@ -12,7 +12,8 @@
 //! Run with: `cargo run --example quickstart [-- --threads 3]`
 
 use perf_isolation::core::{Scheme, SpuId, SpuSet};
-use perf_isolation::experiments::sweep::{self, Scenario, SweepOptions, Value};
+use perf_isolation::experiments::cli::Args;
+use perf_isolation::experiments::sweep::{self, Scenario, Value};
 use perf_isolation::kernel::{Kernel, MachineConfig, Program};
 use perf_isolation::sim::{SimDuration, SimTime};
 
@@ -93,8 +94,7 @@ impl Scenario for Quickstart {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let opts = Args::from_env(&["--threads"]).sweep_options();
 
     println!("Performance Isolation quickstart");
     println!("2 CPUs, 32 MB, two SPUs: a victim (1 job) and a hog (6 jobs)\n");

@@ -25,19 +25,15 @@
 //!   tenant/service process names;
 //! * `consolidation_matrix.json` — the full matrix (the CI artifact).
 
+use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::consolidation::{self, ConsolidationScenario};
 use perf_isolation::experiments::report::export;
-use perf_isolation::experiments::sweep::{self, SweepOptions};
-use perf_isolation::experiments::Scale;
+use perf_isolation::experiments::sweep;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    let opts = SweepOptions::new().threads(sweep::threads_from_args(&args));
+    let args = Args::from_env(&["--quick", "--threads"]);
+    let scale = args.scale();
+    let opts = args.sweep_options();
     println!("Running the consolidation matrix: layout x load ({scale:?} scale)...\n");
     let result = sweep::run_scenario(&ConsolidationScenario::seed(scale), &opts).report;
     println!("{}", result.format());

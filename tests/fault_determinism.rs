@@ -32,13 +32,14 @@ fn instrumented(cfg: MachineConfig) -> (String, String) {
 
 #[test]
 fn empty_plan_is_byte_identical_to_no_plan() {
-    let base = MachineConfig::builder()
-        .topology(2, 32, 1)
-        .scheme(Scheme::PIso)
-        .build()
-        .unwrap();
-    let (jsonl_none, trace_none) = instrumented(base.clone());
-    let (jsonl_empty, trace_empty) = instrumented(base.with_fault_plan(FaultPlan::new()));
+    let base = || {
+        MachineConfig::builder()
+            .topology(2, 32, 1)
+            .scheme(Scheme::PIso)
+    };
+    let (jsonl_none, trace_none) = instrumented(base().build().unwrap());
+    let (jsonl_empty, trace_empty) =
+        instrumented(base().fault_plan(FaultPlan::new()).build().unwrap());
     assert_eq!(
         jsonl_none, jsonl_empty,
         "an empty fault plan must leave the metrics export untouched"
@@ -56,11 +57,6 @@ fn empty_plan_is_byte_identical_to_no_plan() {
 #[test]
 fn same_fault_seed_reproduces_the_run() {
     let run = |seed: u64| {
-        let base = MachineConfig::builder()
-            .topology(2, 32, 1)
-            .scheme(Scheme::PIso)
-            .build()
-            .unwrap();
         let plan = FaultPlan::new()
             .at(
                 SimTime::from_millis(5),
@@ -76,7 +72,13 @@ fn same_fault_seed_reproduces_the_run() {
                     pages: 4,
                 },
             );
-        instrumented(base.with_fault_plan(plan))
+        let cfg = MachineConfig::builder()
+            .topology(2, 32, 1)
+            .scheme(Scheme::PIso)
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        instrumented(cfg)
     };
     let (a_jsonl, a_trace) = run(1);
     let (b_jsonl, b_trace) = run(1);
