@@ -41,6 +41,7 @@ fn main() {
     micro_targets::bench_fault_path(&mut c);
     micro_targets::bench_fault_resident(&mut c);
     micro_targets::bench_swapin_batch(&mut c);
+    micro_targets::bench_bufcache_flush(&mut c);
     let micro = take_measurements();
 
     // End-to-end: every quick-scale scenario, serial — the
@@ -163,49 +164,77 @@ const MICRO_TOLERANCE: f64 = 2.0;
 const END_TO_END_TOLERANCE: f64 = 1.5;
 
 /// Compares this run against the committed baseline and reports any
-/// number that regressed beyond its tolerance band. With
-/// `BENCH_CORE_RATCHET` set (CI), regressions fail the bench; locally
-/// they only warn, since absolute wall-clock differs across machines.
+/// number that regressed beyond its tolerance band, and any difference
+/// between the micros this bench measures and those the baseline lists
+/// (a new micro with no committed number, or a committed one no longer
+/// measured, would otherwise escape the ratchet). With
+/// `BENCH_CORE_RATCHET` set (CI), either fails the bench; locally they
+/// only warn, since absolute wall-clock differs across machines.
 fn ratchet(baseline_text: Option<&str>, micro: &[Measurement], total_s: f64) {
     let Some(text) = baseline_text else {
         eprintln!("ratchet: no committed baseline, skipping");
         return;
     };
-    let mut regressions = Vec::new();
+    let mut failures = Vec::new();
     for m in micro {
         let Some(base) = baseline_median_ns(text, &m.name) else {
-            eprintln!("ratchet: no baseline for {} (new target)", m.name);
+            failures.push(format!(
+                "{}: measured but not in the committed baseline",
+                m.name
+            ));
             continue;
         };
         let ratio = m.median_ns as f64 / base as f64;
         if ratio > MICRO_TOLERANCE {
-            regressions.push(format!(
+            failures.push(format!(
                 "{}: {} ns vs baseline {base} ns ({ratio:.2}x > {MICRO_TOLERANCE}x)",
                 m.name, m.median_ns
+            ));
+        }
+    }
+    for name in baseline_micro_names(text) {
+        if !micro.iter().any(|m| m.name == name) {
+            failures.push(format!(
+                "{name}: in the committed baseline but no longer measured"
             ));
         }
     }
     if let Some(base_s) = baseline_total(text) {
         let ratio = total_s / base_s;
         if ratio > END_TO_END_TOLERANCE {
-            regressions.push(format!(
+            failures.push(format!(
                 "end_to_end/quick_sweep: {total_s:.3} s vs baseline {base_s:.3} s \
                  ({ratio:.2}x > {END_TO_END_TOLERANCE}x)"
             ));
         }
     }
-    if regressions.is_empty() {
+    if failures.is_empty() {
         eprintln!("ratchet: all tracked numbers within tolerance");
         return;
     }
-    for r in &regressions {
-        eprintln!("ratchet REGRESSION: {r}");
+    for f in &failures {
+        eprintln!("ratchet FAIL: {f}");
     }
     if std::env::var("BENCH_CORE_RATCHET").is_ok() {
         eprintln!("ratchet: failing (BENCH_CORE_RATCHET set)");
         std::process::exit(1);
     }
     eprintln!("ratchet: warning only (set BENCH_CORE_RATCHET to enforce)");
+}
+
+/// The micro names the baseline's `micro` section lists, in file order
+/// (one `"name": {...}` entry per line, as [`render_json`] writes them).
+fn baseline_micro_names(text: &str) -> Vec<String> {
+    let Some(section) = text.split("\"micro\": {").nth(1) else {
+        return Vec::new();
+    };
+    section
+        .lines()
+        .map(str::trim)
+        .take_while(|line| !line.starts_with('}'))
+        .filter_map(|line| line.strip_prefix('"')?.split('"').next())
+        .map(str::to_owned)
+        .collect()
 }
 
 /// Extracts one micro target's committed `median_ns` from the baseline

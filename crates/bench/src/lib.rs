@@ -13,11 +13,14 @@ pub use experiments::Scale;
 /// Micro-benchmark targets the `core` bench times into the tracked
 /// `BENCH_core.json` baseline: the kernel hot paths this repo
 /// optimises — event-queue churn, scheduler picks and steals, a whole
-/// 512-CPU run, and the page-fault path.
+/// 512-CPU run, the page-fault path and the buffer cache's
+/// write-behind cycle.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
     use event_sim::{EventQueue, SimDuration, SimTime};
-    use smp_kernel::{Kernel, MachineConfig, ProcTable, Process, Program, Scheduler};
+    use smp_kernel::{
+        BufferCache, FileId, FrameId, Kernel, MachineConfig, ProcTable, Process, Program, Scheduler,
+    };
     use spu_core::{Scheme, SpuId, SpuSet};
 
     /// Timing-wheel churn: 1k schedules followed by a full drain.
@@ -203,6 +206,48 @@ pub mod micro_targets {
                     .build();
                 k.spawn_at(SpuId::user(0), sweep, Some("swapin"), SimTime::ZERO);
                 black_box(k.run(SimTime::from_secs(60)).end_time)
+            })
+        });
+    }
+
+    /// The buffer cache's write-behind cycle on its own: 16,384 cached
+    /// blocks over four files, each in turn evicted, refilled (fill,
+    /// then completion) and dirtied, with every dirty block taken for
+    /// flushing after each 64 writes. Every eighth write also evicts and
+    /// re-caches the block dirtied four writes earlier, leaving a stale
+    /// key on the dirty list. Each iteration ends with every block valid
+    /// and clean, the state it started from.
+    pub fn bench_bufcache_flush(c: &mut Criterion) {
+        const FILES: u64 = 4;
+        const BLOCKS: u64 = 16_384;
+        const TAKE_EVERY: u64 = 64;
+        let key = |i: u64| (FileId((i % FILES) as u32), i / FILES);
+        let mut cache = BufferCache::new();
+        for i in 0..BLOCKS {
+            let (file, block) = key(i);
+            cache.insert_valid(file, block, FrameId(i as u32), false);
+        }
+        c.bench_function("bufcache/write_flush_cycle", |b| {
+            b.iter(|| {
+                let mut flushed = 0;
+                for i in 0..BLOCKS {
+                    let (file, block) = key(i);
+                    let frame = cache.remove(file, block).expect("cached").frame();
+                    cache.insert_filling(file, block, frame, i);
+                    cache.complete_fill(file, block);
+                    cache.mark_dirty(file, block);
+                    if i % 8 == 7 {
+                        let (file, block) = key(i - 4);
+                        let frame = cache.remove(file, block).expect("cached").frame();
+                        cache.insert_valid(file, block, frame, false);
+                    }
+                    if (i + 1) % TAKE_EVERY == 0 {
+                        let n = cache.take_dirty().len() as u64;
+                        cache.flush_completed(n);
+                        flushed += n;
+                    }
+                }
+                black_box(flushed)
             })
         });
     }

@@ -60,7 +60,7 @@ impl Kernel {
             Event::OpDone { cpu, gen } => self.on_op_done(cpu, gen),
             Event::DiskDone { disk } => self.on_disk_done(disk),
             Event::SyncDaemon => {
-                self.flush_dirty(usize::MAX);
+                self.flush_dirty();
                 if self.live_procs > 0 {
                     self.events
                         .schedule(self.now + SYNC_PERIOD, Event::SyncDaemon);

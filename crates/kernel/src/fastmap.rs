@@ -8,9 +8,8 @@
 //! generates its own keys.
 //!
 //! **Determinism rule:** only maps whose iteration order never reaches an
-//! observable result may use this. The kernel's `io_purpose`, `retries`,
-//! `filling`, and `wake_pending` maps are keyed-access-only, and the
-//! buffer cache sorts its dirty batch before truncating, so all qualify.
+//! observable result may use this. The kernel's `io_purpose`, `retries`
+//! and `wake_pending` maps are keyed-access-only, so all qualify.
 //! Anything iterated into exports stays `BTreeMap`.
 
 use std::collections::HashMap;

@@ -83,8 +83,6 @@ pub struct Kernel {
     pub(crate) next_tag: u64,
     pub(crate) trace: Trace,
     pub(crate) ipi_pending: bool,
-    /// Outstanding cache-fill requests per file (limits prefetch depth).
-    pub(crate) filling: FastMap<FileId, u32>,
     pub(crate) live_procs: u32,
     pub(crate) jobs: Vec<JobRecord>,
     /// Per-SPU admission queues (dense [`SpuId::index`] order), active
@@ -307,7 +305,6 @@ impl Kernel {
             next_tag: 1,
             trace: Trace::new(),
             ipi_pending: false,
-            filling: FastMap::default(),
             live_procs: 0,
             jobs: Vec::new(),
             admission: (0..n_spus)
@@ -363,11 +360,14 @@ impl Kernel {
     }
 
     /// Debug invariants across subsystems: the memory ledger vs frame
-    /// ownership, and every scheduler index vs its from-scratch value
+    /// ownership, the buffer cache's counts and dirty list vs its tables
+    /// and the VM's frame owners ([`BufferCache::check_invariants`]),
+    /// and every scheduler index vs its from-scratch value
     /// ([`Scheduler::check_invariants`]). Cheap enough to call after
     /// every test run.
     pub fn check_invariants(&self) {
         self.vm.check_invariants();
+        self.cache.check_invariants(&self.vm);
         self.sched.check_invariants(&self.procs);
     }
 

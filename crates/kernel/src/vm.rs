@@ -328,6 +328,11 @@ impl MemoryManager {
         }
     }
 
+    /// Number of frames, free or not; [`FrameId`]s run `0..frame_count()`.
+    pub(crate) fn frame_count(&self) -> usize {
+        self.owners.len()
+    }
+
     /// Sets a frame's dirty flag.
     pub fn set_dirty(&mut self, id: FrameId, dirty: bool) {
         if dirty {
