@@ -103,10 +103,11 @@ impl Kernel {
     /// Handles `Event::Start`: requests go through admission when it is
     /// on; everything else starts exactly as before.
     pub(crate) fn on_start(&mut self, pid: Pid) {
-        let is_request = self
-            .procs
-            .get(pid)
-            .job
+        let job = self.procs.get(pid).job;
+        if let (Some(slo), Some(job)) = (&mut self.slo, job) {
+            slo.start(&self.jobs, job);
+        }
+        let is_request = job
             .map(|j| self.jobs[j.0 as usize].deadline.is_some())
             .unwrap_or(false);
         if self.cfg.tuning.admission_cap == 0 || !is_request {
@@ -326,7 +327,11 @@ impl Kernel {
 
     fn mark_shed(&mut self, pid: Pid) {
         if let Some(j) = self.procs.get(pid).job {
-            self.jobs[j.0 as usize].shed = true;
+            let rec = &mut self.jobs[j.0 as usize];
+            rec.shed = true;
+            if let Some(slo) = &mut self.slo {
+                slo.shed(rec);
+            }
         }
     }
 

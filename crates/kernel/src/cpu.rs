@@ -525,6 +525,9 @@ impl Kernel {
                 self.latency
                     .response
                     .add_duration(self.now.saturating_since(rec.started));
+                if let Some(slo) = &mut self.slo {
+                    slo.finish(rec);
+                }
             }
             // An admitted request's root frees its service slot (shed
             // requests were never admitted, so they free nothing).

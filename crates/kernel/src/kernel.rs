@@ -30,7 +30,7 @@ use crate::fs::{FileId, FileSystem};
 use crate::io::{IoPurpose, RetryState};
 use crate::locks::LockTable;
 use crate::metrics::{JobRecord, RunMetrics};
-use crate::obsv::interference::{nearest_rank, Attribution, SloReport, SloSample, SpuSlo};
+use crate::obsv::interference::{nearest_rank, Attribution, SloReport, SloTracker, SpuSlo};
 use crate::obsv::{CounterId, CounterRegistry, LatencyStats, ObsvReport, SampleSeries};
 use crate::process::{BlockReason, JobId, Pid, ProcState, Process};
 use crate::program::{BarrierId, Program};
@@ -104,12 +104,9 @@ pub struct Kernel {
     /// Cross-SPU interference attribution, `None` until
     /// [`enable_attribution`](Self::enable_attribution).
     pub(crate) attribution: Option<Attribution>,
-    /// SLO response-time target, `None` until
+    /// The SLO tracker's running counts and samples, `None` until
     /// [`enable_slo`](Self::enable_slo).
-    pub(crate) slo_target: Option<SimDuration>,
-    /// Cumulative per-SPU SLO samples (dense index order), filled by the
-    /// sampler when both the SLO tracker and sampling are enabled.
-    pub(crate) slo_samples: Vec<Vec<SloSample>>,
+    pub(crate) slo: Option<SloTracker>,
     // --- faults & recovery ------------------------------------------------
     /// Retry state per erroring request tag.
     pub(crate) retries: FastMap<u64, RetryState>,
@@ -317,8 +314,7 @@ impl Kernel {
             latency: LatencyStats::new(),
             wake_pending: FastMap::default(),
             attribution: None,
-            slo_target: None,
-            slo_samples: Vec::new(),
+            slo: None,
             retries: FastMap::default(),
             errors: Vec::new(),
             auditor: LedgerAuditor::new(n_spus, MEM_POLICY_PERIOD.mul_f64(3.0)),
@@ -362,13 +358,17 @@ impl Kernel {
     /// Debug invariants across subsystems: the memory ledger vs frame
     /// ownership, the buffer cache's counts and dirty list vs its tables
     /// and the VM's frame owners ([`BufferCache::check_invariants`]),
-    /// and every scheduler index vs its from-scratch value
-    /// ([`Scheduler::check_invariants`]). Cheap enough to call after
-    /// every test run.
+    /// every scheduler index vs its from-scratch value
+    /// ([`Scheduler::check_invariants`]), and, with the SLO tracker on,
+    /// every SPU's running SLO counts vs a rescan of every job at the
+    /// current instant. Cheap enough to call after every test run.
     pub fn check_invariants(&self) {
         self.vm.check_invariants();
         self.cache.check_invariants(&self.vm);
         self.sched.check_invariants(&self.procs);
+        if let Some(slo) = &self.slo {
+            slo.check(&self.jobs, self.now);
+        }
     }
 
     /// Enables execution tracing of up to `cap` events (see
@@ -458,13 +458,21 @@ impl Kernel {
     /// counts are recorded at every sampling instant alongside the
     /// resource series. Call before [`run`](Self::run).
     ///
+    /// The counts are kept as the run goes: a root exit bumps its SPU's
+    /// `completed` (and `violated` when over target), each job joins its
+    /// SPU's start-ordered queue when it starts, and a sample pops the
+    /// jobs that went over target since the last one, counting the
+    /// unfinished ones as violations. A sample therefore costs one step
+    /// per SPU plus one per job that crossed the target, not a pass over
+    /// every job; a shed or finished job that was counted late leaves
+    /// the late count when it closes.
+    ///
     /// # Panics
     ///
     /// Panics if `target` is zero.
     pub fn enable_slo(&mut self, target: SimDuration) {
         assert!(!target.is_zero(), "SLO target must be positive");
-        self.slo_target = Some(target);
-        self.slo_samples = vec![Vec::new(); self.spus.total_count()];
+        self.slo = Some(SloTracker::new(target, self.spus.total_count()));
     }
 
     /// Creates a file on `disk` (see [`FileSystem::create`]).
@@ -696,9 +704,10 @@ impl Kernel {
     /// scored at `end_time`; percentiles are exact nearest-rank over the
     /// scored responses.
     fn collect_slo(&self, end_time: SimTime) -> SloReport {
-        let Some(target) = self.slo_target else {
+        let Some(slo) = &self.slo else {
             return SloReport::default();
         };
+        let target = slo.target();
         let elapsed = end_time.as_secs_f64();
         let mut per_spu = Vec::new();
         for (idx, spu) in self.spus.all_ids().enumerate() {
@@ -738,7 +747,7 @@ impl Kernel {
                     0.0
                 },
                 violation_frac: (jobs - met) as f64 / jobs as f64,
-                samples: self.slo_samples.get(idx).cloned().unwrap_or_default(),
+                samples: slo.samples(idx).to_vec(),
             });
         }
         SloReport { target, per_spu }
