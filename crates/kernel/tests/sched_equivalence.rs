@@ -13,7 +13,9 @@
 //! and two-level SPU trees under all three schemes, and must agree after
 //! every step on the pick, the revocable, idle and loaned CPU lists, the
 //! stamps and the ready counts. The real scheduler's own
-//! `check_invariants` runs after every step too.
+//! `check_invariants` runs after every step too. A long-list case queues
+//! up to 200 processes on one or two SPUs across several priority
+//! bands, so decays move keys deep inside the ready lists' heaps.
 
 use std::sync::Arc;
 
@@ -23,7 +25,7 @@ use smp_kernel::sched::PRIORITY_BAND_MS;
 use smp_kernel::{Pid, ProcTable, Process, Program, Scheduler};
 use spu_core::{CpuAssignment, CpuPartition, Scheme, SharedCpuRotor, SpuId, SpuSet, SpuTree};
 
-/// Processes in every generated run.
+/// Processes in every generated run but the long-list ones.
 const PROCS: u32 = 24;
 
 /// One CPU of the reference model.
@@ -374,6 +376,26 @@ struct Coverage {
     sibling_loans: u64,
     stamps: u64,
     sweep_revocations: u64,
+    /// Decay ops that moved the band of a queued process other than its
+    /// SPU's head.
+    deep_decays: u64,
+}
+
+/// The band of every queued process that is not its SPU's head.
+fn non_head_bands(r: &RefSched, procs: &ProcTable) -> Vec<(Pid, i64)> {
+    let key = |pid: Pid, seq: u64| ((procs.p_cpu(pid) / PRIORITY_BAND_MS) as i64, seq);
+    let head = |spu: SpuId| {
+        r.ready
+            .iter()
+            .filter(|&&(pid, _)| procs.get(pid).spu == spu)
+            .map(|&(pid, seq)| key(pid, seq))
+            .min()
+    };
+    r.ready
+        .iter()
+        .filter(|&&(pid, seq)| head(procs.get(pid).spu) != Some(key(pid, seq)))
+        .map(|&(pid, seq)| (pid, key(pid, seq).0))
+        .collect()
 }
 
 /// Runs `pid` on `cpu` in both models.
@@ -424,12 +446,18 @@ fn pick_both(
 }
 
 fn run_equivalence(m: Machine, ops: &[Op]) -> Coverage {
+    run_equivalence_with(m, PROCS, &[], ops)
+}
+
+/// Runs `ops` over `n_procs` processes, process `i` starting with
+/// `charges[i % len]` ms of CPU usage (none when `charges` is empty).
+fn run_equivalence_with(m: Machine, n_procs: u32, charges: &[u32], ops: &[Op]) -> Coverage {
     let spus = m.spus();
     let mut s = Scheduler::new(m.scheme, m.cpus, &spus);
     let mut r = RefSched::new(m.scheme, m.cpus, &spus);
     let prog = Program::builder("p").build();
     let mut procs = ProcTable::new();
-    for i in 0..PROCS {
+    for i in 0..n_procs {
         let spu = spu_of(i, m.users);
         procs.insert(Process::new(
             Pid(i),
@@ -439,11 +467,14 @@ fn run_equivalence(m: Machine, ops: &[Op]) -> Coverage {
             None,
             SimTime::ZERO,
         ));
+        if !charges.is_empty() {
+            procs.charge_p_cpu(Pid(i), charges[i as usize % charges.len()] as f64);
+        }
     }
     let mut now = SimTime::ZERO;
     let mut cov = Coverage::default();
     // Processes neither queued nor running.
-    let mut parked: Vec<Pid> = (0..PROCS).map(Pid).collect();
+    let mut parked: Vec<Pid> = (0..n_procs).map(Pid).collect();
     for (step, &op) in ops.iter().enumerate() {
         now += SimDuration::from_millis(1);
         match op {
@@ -487,7 +518,7 @@ fn run_equivalence(m: Machine, ops: &[Op]) -> Coverage {
                 }
             }
             Op::Dequeue { pick } => {
-                let pid = Pid(pick % PROCS);
+                let pid = Pid(pick % n_procs);
                 let queued = r.dequeue(pid);
                 assert_eq!(s.dequeue(&mut procs, pid), queued, "dequeue at step {step}");
                 if queued {
@@ -495,9 +526,14 @@ fn run_equivalence(m: Machine, ops: &[Op]) -> Coverage {
                 }
             }
             Op::Decay { ticks } => {
+                let before = non_head_bands(&r, &procs);
                 for _ in 0..ticks {
                     s.decay_priorities(&mut procs);
                 }
+                let moved = |&(pid, band): &(Pid, i64)| {
+                    (procs.p_cpu(pid) / PRIORITY_BAND_MS) as i64 != band
+                };
+                cov.deep_decays += before.iter().any(moved) as u64;
             }
             Op::Mark => {
                 let any = r.mark(&procs, now);
@@ -575,6 +611,71 @@ proptest! {
     ) {
         run_equivalence(m, &ops);
     }
+}
+
+/// A machine with one or two user SPUs and no tenant tree, for the
+/// long-list case.
+fn long_list_machine_strategy() -> impl Strategy<Value = Machine> {
+    (0u32..3, 1usize..=4, 1usize..=2, 0u32..1024).prop_map(|(scheme, cpus, users, weight_seed)| {
+        Machine {
+            scheme: [Scheme::Smp, Scheme::Quota, Scheme::PIso][scheme as usize],
+            cpus,
+            users,
+            tenants: 0,
+            weight_seed,
+        }
+    })
+}
+
+/// Runs a long-list case: `n_procs` processes charged across bands 0–5,
+/// all enqueued before `ops` run, so the ready lists start deep.
+fn run_long_lists(m: Machine, n_procs: u32, charges: &[u32], ops: &[Op]) -> Coverage {
+    let mut all: Vec<Op> = (0..n_procs).map(|i| Op::Enqueue { pick: i }).collect();
+    all.extend_from_slice(ops);
+    run_equivalence_with(m, n_procs, charges, &all)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Long ready lists: up to 200 processes on one or two SPUs, charged
+    /// across several bands, so decays reorder keys deep in the heaps.
+    #[test]
+    fn indexed_scheduler_matches_reference_on_long_lists(
+        m in long_list_machine_strategy(),
+        n_procs in 64u32..=200,
+        charges in prop::collection::vec(0u32..720, 1..32),
+        ops in prop::collection::vec(op_strategy(), 1..300),
+    ) {
+        run_long_lists(m, n_procs, &charges, &ops);
+    }
+}
+
+/// Guards the long-list generator: some decay must move the band of a
+/// queued process below its list's head, or the property above would
+/// never reorder a heap's interior.
+#[test]
+fn long_lists_reorder_keys_below_the_head() {
+    use proptest::test_runner::TestRng;
+    let mut rng = TestRng::deterministic("sched_equivalence::long_lists");
+    let charges = prop::collection::vec(0u32..720, 1..32);
+    let ops = prop::collection::vec(op_strategy(), 200..300);
+    let mut deep_decays = 0;
+    for _ in 0..8 {
+        let m = long_list_machine_strategy().generate(&mut rng);
+        let n_procs = (64u32..=200).generate(&mut rng);
+        let cov = run_long_lists(
+            m,
+            n_procs,
+            &charges.generate(&mut rng),
+            &ops.generate(&mut rng),
+        );
+        deep_decays += cov.deep_decays;
+    }
+    assert!(
+        deep_decays > 20,
+        "decays that moved a non-head band: {deep_decays}"
+    );
 }
 
 /// Guards the generator itself: sequences must reach loans, sibling
