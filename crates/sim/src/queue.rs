@@ -312,13 +312,16 @@ impl<E> EventQueue<E> {
             if bucket >= self.cursor + NEAR_BUCKETS {
                 break;
             }
-            let entries = self.far.remove(&bucket).expect("key just observed");
+            let mut entries = self.far.remove(&bucket).expect("key just observed");
             let idx = (bucket & NEAR_MASK) as usize;
             self.set_occ(idx);
             let slot = &mut self.near[idx];
             debug_assert!(slot.entries.is_empty());
             slot.bucket = bucket;
-            slot.entries = entries;
+            // Append rather than assign: the drained slot keeps the
+            // buffer it grew, so later schedules into it do not regrow
+            // one from empty. The slot is empty, so order is unchanged.
+            slot.entries.append(&mut entries);
         }
     }
 
