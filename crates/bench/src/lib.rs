@@ -40,24 +40,46 @@ pub mod micro_targets {
         });
     }
 
-    /// Scheduler pick-next under load: 16 CPU-bound processes time-slice
-    /// on 2 CPUs, so the run is dominated by dispatch/preempt decisions.
+    /// [`Scheduler::pick`] from one long ready list: 512 processes queued
+    /// on one SPU across priority bands 0–5, driven without a kernel.
+    /// Each iteration times 1,024 cycles of pick, a 30 ms
+    /// [`ProcTable::charge_p_cpu`] and re-enqueue on the SPU's one CPU,
+    /// with a [`Scheduler::decay_priorities`] every 64 picks, so decay
+    /// moves bands inside the list as it does in a run.
     pub fn bench_scheduler_pick(c: &mut Criterion) {
-        c.bench_function("sched/pick_under_load", |b| {
+        const QUEUED: u32 = 512;
+        const PICKS: u32 = 1024;
+        const DECAY_EVERY: u32 = 64;
+        let spus = SpuSet::equal_users(1);
+        let mut s = Scheduler::new(Scheme::PIso, 1, &spus);
+        let prog = Program::builder("ready").build();
+        let mut procs = ProcTable::new();
+        for i in 0..QUEUED {
+            let pid = procs.next_pid();
+            procs.insert(Process::new(
+                pid,
+                SpuId::user(0),
+                None,
+                prog.clone(),
+                None,
+                SimTime::ZERO,
+            ));
+            // Mid-band charges: band `i % 6`.
+            procs.charge_p_cpu(pid, f64::from(i % 6) * 120.0 + 60.0);
+            s.enqueue(&mut procs, pid);
+        }
+        c.bench_function("sched/pick_long_ready_list", |b| {
             b.iter(|| {
-                let cfg = MachineConfig::builder()
-                    .topology(2, 32, 1)
-                    .scheme(Scheme::PIso)
-                    .build()
-                    .unwrap();
-                let mut k = Kernel::new(cfg, SpuSet::equal_users(2));
-                let spin = Program::builder("spin")
-                    .compute(SimDuration::from_millis(40), 0)
-                    .build();
-                for i in 0..16u32 {
-                    k.spawn_at(SpuId::user(i % 2), spin.clone(), None, SimTime::ZERO);
+                for i in 1..=PICKS {
+                    let (pid, loaned) = s.pick(&mut procs, 0).expect("ready work");
+                    assert!(!loaned, "the lone CPU picked outside its home");
+                    procs.charge_p_cpu(pid, 30.0);
+                    s.enqueue(&mut procs, pid);
+                    if i % DECAY_EVERY == 0 {
+                        s.decay_priorities(&mut procs);
+                    }
                 }
-                black_box(k.run(SimTime::from_secs(10)).end_time)
+                black_box(s.ready_count())
             })
         });
     }

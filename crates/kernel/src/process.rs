@@ -154,10 +154,10 @@ pub struct Process {
     micro: VecDeque<MicroOp>,
     /// Scheduler state.
     pub state: ProcState,
-    /// Slot on its SPU's ready list, or
+    /// Slot in its SPU's ready heap, or
     /// [`NO_QUEUE`](crate::sched::NO_QUEUE) when not queued. Maintained
-    /// by the scheduler (kept current under swap-removal) so dequeue is
-    /// O(1) instead of a list scan.
+    /// by the scheduler (kept current by every heap move) so dequeue
+    /// finds the entry without a list scan.
     pub(crate) run_q: u32,
     /// Handle to this process's page table in the kernel's [`PageArena`].
     pub pages: PageSlab,
