@@ -35,7 +35,9 @@ fn main() {
     // The hot-path micro targets.
     let mut c = Criterion::default();
     micro_targets::bench_event_queue(&mut c);
+    micro_targets::bench_event_queue_burst(&mut c);
     micro_targets::bench_scheduler_pick(&mut c);
+    micro_targets::bench_kernel_boot_512(&mut c);
     micro_targets::bench_kernel_run_512(&mut c);
     micro_targets::bench_scheduler_steal_512(&mut c);
     micro_targets::bench_fault_path(&mut c);

@@ -12,9 +12,9 @@ pub use experiments::Scale;
 
 /// Micro-benchmark targets the `core` bench times into the tracked
 /// `BENCH_core.json` baseline: the kernel hot paths this repo
-/// optimises — event-queue churn, scheduler picks and steals, a whole
-/// 512-CPU run, the page-fault path and the buffer cache's
-/// write-behind cycle.
+/// optimises — event-queue churn and same-instant bursts, scheduler
+/// picks and steals, booting and running a 512-CPU machine, the
+/// page-fault path and the buffer cache's write-behind cycle.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
     use event_sim::{EventQueue, SimDuration, SimTime};
@@ -37,6 +37,25 @@ pub mod micro_targets {
                 }
                 black_box(sum)
             })
+        });
+    }
+
+    /// A same-instant burst, the shape of a t = 0 spawn burst: 2,048
+    /// schedules at one instant on a fresh queue, then one `pop_run`
+    /// drain. The queue and the drain buffer are built untimed.
+    pub fn bench_event_queue_burst(c: &mut Criterion) {
+        c.bench_function("event_queue/burst_same_instant", |b| {
+            b.iter_batched(
+                || (EventQueue::new(), Vec::with_capacity(2048)),
+                |(mut q, mut out)| {
+                    for i in 0..2048u64 {
+                        q.schedule(SimTime::ZERO, i);
+                    }
+                    q.pop_run(&mut out);
+                    // Returned, so dropping them is not timed.
+                    (q, out)
+                },
+            )
         });
     }
 
@@ -84,31 +103,52 @@ pub mod micro_targets {
         });
     }
 
-    /// A whole 30 s kernel run at machine scale: 512 CPUs and 1024 SPUs
-    /// time-sharing two to a CPU, with 1,536 spawned CPU hogs. It times
-    /// every layer the run touches — dispatch, steals, loan revocation,
-    /// priority decay and the per-tick ledger audit — not one pick;
+    /// The machine the `kernel/*_512_cpus` micros use: 512 CPUs and
+    /// 3,072 MB, with 1024 SPUs time-sharing two to a CPU.
+    fn machine_512() -> (MachineConfig, SpuSet) {
+        MachineConfig::builder()
+            .topology(512, 3072, 1)
+            .scheme(Scheme::PIso)
+            .spus(1024, 1)
+            .build_with_spus()
+            .expect("valid 512-CPU machine")
+    }
+
+    /// Boots [`machine_512`] and spawns its 1,536 CPU hogs at t = 0: one
+    /// in every even SPU, two in every odd one.
+    fn boot_512((cfg, set): (MachineConfig, SpuSet)) -> Kernel {
+        let mut k = Kernel::new(cfg, set);
+        let spin = Program::builder("spin")
+            .compute(SimDuration::from_millis(40), 0)
+            .build();
+        for s in 0..1024u32 {
+            for _ in 0..(s % 2 + 1) {
+                k.spawn_at(SpuId::user(s), spin.clone(), None, SimTime::ZERO);
+            }
+        }
+        k
+    }
+
+    /// Booting the 512-CPU machine: [`Kernel::new`] plus the 1,536
+    /// spawns at t = 0. The machine config is built untimed.
+    pub fn bench_kernel_boot_512(c: &mut Criterion) {
+        c.bench_function("kernel/boot_512_cpus", |b| {
+            b.iter_batched(machine_512, boot_512)
+        });
+    }
+
+    /// A whole 30 s kernel run at machine scale, on a kernel booted with
+    /// its 1,536 hogs in untimed set-up. It times every layer the run
+    /// touches — dispatch, steals, loan revocation, priority decay and
+    /// the per-tick ledger audit — not one pick;
     /// `sched/steal_at_512_cpus` times the steal alone.
     pub fn bench_kernel_run_512(c: &mut Criterion) {
         c.bench_function("kernel/run_512_cpus", |b| {
-            b.iter(|| {
-                let (cfg, set) = MachineConfig::builder()
-                    .topology(512, 3072, 1)
-                    .scheme(Scheme::PIso)
-                    .spus(1024, 1)
-                    .build_with_spus()
-                    .unwrap();
-                let mut k = Kernel::new(cfg, set);
-                let spin = Program::builder("spin")
-                    .compute(SimDuration::from_millis(40), 0)
-                    .build();
-                for s in 0..1024u32 {
-                    for _ in 0..(s % 2 + 1) {
-                        k.spawn_at(SpuId::user(s), spin.clone(), None, SimTime::ZERO);
-                    }
-                }
-                black_box(k.run(SimTime::from_secs(30)).end_time)
-            })
+            b.iter_batched(
+                || boot_512(machine_512()),
+                // The kernel is returned, so dropping it is not timed.
+                |mut k| (k.run(SimTime::from_secs(30)).end_time, k),
+            )
         });
     }
 

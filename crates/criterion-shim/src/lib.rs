@@ -3,8 +3,9 @@
 //! The workspace builds in environments with no access to a crates
 //! registry, so the real `criterion` crate cannot be resolved. This shim
 //! implements the surface our benches use — `Criterion`,
-//! `benchmark_group`, `bench_function`, `Bencher::iter` and `black_box`
-//! — with a simple timer in place of criterion's statistical machinery.
+//! `benchmark_group`, `bench_function`, `Bencher::iter`,
+//! `Bencher::iter_batched` and `black_box` — with a simple timer in
+//! place of criterion's statistical machinery.
 //!
 //! Behaviour:
 //!
@@ -15,8 +16,9 @@
 //!
 //! The dependency is renamed in the workspace manifest
 //! (`criterion = { package = "criterion-shim", .. }`) so bench code is
-//! written against the ordinary `criterion::*` imports and would compile
-//! unchanged against the real crate.
+//! written against the ordinary `criterion::*` imports. It would compile
+//! against the real crate except for `iter_batched`, which here takes no
+//! `BatchSize`: every timed call gets its own input.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -129,6 +131,25 @@ impl Bencher {
             self.samples_ns.push(start.elapsed().as_nanos());
         }
     }
+
+    /// Times `routine` on a fresh input from `setup`, one sample per
+    /// configured repetition. Neither the set-up nor dropping the
+    /// routine's output is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        // One untimed warm-up pass.
+        black_box(routine(setup()));
+        for _ in 0..self.iters_per_sample {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            self.samples_ns.push(start.elapsed().as_nanos());
+            drop(output);
+        }
+    }
 }
 
 fn run_bench<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, f: &mut F) {
@@ -174,6 +195,25 @@ mod tests {
         group.finish();
         // 3 timed samples + 1 warm-up.
         assert_eq!(group_hits, 4);
+    }
+
+    #[test]
+    fn iter_batched_sets_up_a_fresh_input_per_call() {
+        let mut c = Criterion::default();
+        let mut group = c.benchmark_group("unit");
+        group.sample_size(3);
+        let (mut setups, mut seen) = (0u32, Vec::new());
+        group.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    setups += 1;
+                    setups
+                },
+                |input| seen.push(input),
+            )
+        });
+        // 3 timed samples + 1 warm-up, each on its own input.
+        assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -109,6 +109,16 @@ pub struct VmSpuStats {
 
 /// The physical memory manager.
 ///
+/// Frame state lives in columns indexed by [`FrameId`] that hold only
+/// the frames below a high-water mark: the kernel's frames from boot,
+/// then each frame from the first time it is handed out. Frames at or
+/// above the mark have never been used and are free by definition, so
+/// boot costs O(kernel frames), not O(memory). A free frame is the most
+/// recently recycled one, else the mark moves up by one. That is the
+/// order a stack of every frame, filled in descending id order at boot,
+/// pops in, so frame ids, and every export built on them, are those of
+/// an eagerly filled table.
+///
 /// # Examples
 ///
 /// ```
@@ -128,7 +138,8 @@ pub struct MemoryManager {
     // Frame metadata as a dense struct-of-arrays, directly indexed by
     // `FrameId`: the fault path touches only the columns it needs
     // (owner+flags on the victim walk, stamps on touch) instead of
-    // dragging whole `Frame` structs through the cache.
+    // dragging whole `Frame` structs through the cache. Their common
+    // length is the high-water mark.
     owners: Vec<FrameOwner>,
     frame_spu: Vec<SpuId>,
     /// Per-frame flag bits ([`DIRTY`] | [`PINNED`]).
@@ -140,6 +151,8 @@ pub struct MemoryManager {
     /// Intrusive doubly-linked residency-list links, `NIL`-terminated.
     next: Vec<u32>,
     prev: Vec<u32>,
+    /// Recycled free frames, all below the mark; allocation pops this
+    /// stack before it bumps the mark.
     free: Vec<FrameId>,
     /// Per-SPU page accounting (§3.2): one count per SPU, charged and
     /// released as frames change hands.
@@ -201,9 +214,15 @@ impl MemoryManager {
     /// `reserve_frac` is the Reserve Threshold (§3.2): the fraction of
     /// user memory kept free rather than lent (the paper uses 0.08).
     ///
+    /// Only the kernel's frames (ids `0..kernel`) are written; the
+    /// columns reserve room for every frame once and grow into it as
+    /// frames are first handed out. Reserved room never written is not
+    /// resident.
+    ///
     /// # Panics
     ///
-    /// Panics if `reserve_frac` is not in `[0, 1)`.
+    /// Panics if `reserve_frac` is not in `[0, 1)` or `kernel_frac`
+    /// rounds to more frames than exist.
     pub fn new(
         total_frames: u64,
         spus: &SpuSet,
@@ -216,16 +235,20 @@ impl MemoryManager {
             "reserve fraction must be in [0, 1)"
         );
         let n_spus = spus.total_count();
-        let n = total_frames as usize;
+        // Boot-time kernel memory (code, data, static tables). Kernel
+        // frames never enter a residency list (never paged).
+        let kernel_frames = (total_frames as f64 * kernel_frac).round() as u64;
+        assert!(kernel_frames <= total_frames, "kernel fraction must fit");
+        let (n, k) = (total_frames as usize, kernel_frames as usize);
         let mut vm = MemoryManager {
-            owners: vec![FrameOwner::Free; n],
-            frame_spu: vec![SpuId::KERNEL; n],
-            flags: vec![0; n],
-            stamps: vec![0; n],
-            arrivals: vec![0; n],
-            next: vec![NIL; n],
-            prev: vec![NIL; n],
-            free: (0..total_frames as u32).rev().map(FrameId).collect(),
+            owners: column(n, k, FrameOwner::Kernel),
+            frame_spu: column(n, k, SpuId::KERNEL),
+            flags: column(n, k, PINNED),
+            stamps: column(n, k, 0),
+            arrivals: column(n, k, 0),
+            next: column(n, k, NIL),
+            prev: column(n, k, NIL),
+            free: Vec::with_capacity(n),
             ledger: ResourceLedger::new(total_frames, n_spus),
             lists: vec![[ResidentList::default(); 2]; n_spus],
             cache_frames: vec![0; n_spus],
@@ -237,19 +260,31 @@ impl MemoryManager {
             swap_cursor: 0,
             charge_seq: 0,
         };
-        // Boot-time kernel memory (code, data, static tables). Kernel
-        // frames never enter a residency list (never paged).
-        let kernel_frames = (total_frames as f64 * kernel_frac).round() as u64;
-        for _ in 0..kernel_frames {
-            let f = vm.free.pop().expect("kernel fraction must fit");
-            vm.ledger.charge(SpuId::KERNEL, 1, false).unwrap();
-            let i = f.0 as usize;
-            vm.owners[i] = FrameOwner::Kernel;
-            vm.frame_spu[i] = SpuId::KERNEL;
-            vm.flags[i] = PINNED;
-        }
+        vm.ledger
+            .charge(SpuId::KERNEL, kernel_frames, false)
+            .expect("kernel frames fit an empty ledger");
         vm.run_policy();
         vm
+    }
+
+    /// Takes a free frame: the most recently recycled one, else the
+    /// lowest never-used id, which moves the mark up by one.
+    fn take_free(&mut self) -> Option<FrameId> {
+        if let Some(f) = self.free.pop() {
+            return Some(f);
+        }
+        let i = self.owners.len();
+        if i as u64 == self.ledger.capacity() {
+            return None;
+        }
+        self.owners.push(FrameOwner::Free);
+        self.frame_spu.push(SpuId::KERNEL);
+        self.flags.push(0);
+        self.stamps.push(0);
+        self.arrivals.push(0);
+        self.next.push(NIL);
+        self.prev.push(NIL);
+        Some(FrameId(i as u32))
     }
 
     /// The victim class a resident owner files under.
@@ -317,8 +352,19 @@ impl MemoryManager {
     }
 
     /// A frame's metadata, assembled from the struct-of-arrays columns.
+    /// A frame at or above the mark has never been used and reads as
+    /// free, with the values boot would have given it.
     pub fn frame(&self, id: FrameId) -> Frame {
         let i = id.0 as usize;
+        if i >= self.owners.len() {
+            return Frame {
+                owner: FrameOwner::Free,
+                spu: SpuId::KERNEL,
+                dirty: false,
+                pinned: false,
+                stamp: 0,
+            };
+        }
         Frame {
             owner: self.owners[i],
             spu: self.frame_spu[i],
@@ -328,7 +374,8 @@ impl MemoryManager {
         }
     }
 
-    /// Number of frames, free or not; [`FrameId`]s run `0..frame_count()`.
+    /// The high-water mark: every frame ever used has an id in
+    /// `0..frame_count()`, and every frame at or above it is free.
     pub(crate) fn frame_count(&self) -> usize {
         self.owners.len()
     }
@@ -431,20 +478,9 @@ impl MemoryManager {
             }
             f
         } else {
-            match self.free.pop() {
-                Some(f) => f,
-                None => {
-                    // Ledger says there is capacity but all free frames
-                    // are spoken for — evict globally.
-                    match self.global_victim_spu().and_then(|vs| self.pop_victim(vs)) {
-                        Some(_v) => self.free.pop().expect("victim frame must be free"),
-                        None => {
-                            self.stats[spu.index()].denials += 1;
-                            return Acquired::Denied;
-                        }
-                    }
-                }
-            }
+            self.take_free().expect(
+                "ledger has a free frame, and check_invariants holds free frames == ledger.free()",
+            )
         };
         self.ledger
             .charge(spu, 1, false)
@@ -658,17 +694,34 @@ impl MemoryManager {
         self.pressure.fill(false);
     }
 
-    /// Debug invariants: ledger consistent with frame ownership.
+    /// Debug invariants: ledger consistent with frame ownership, and the
+    /// recycled stack holding exactly the free frames below the mark,
+    /// once each.
     pub fn check_invariants(&self) {
         self.ledger.check_invariants();
+        let mark = self.owners.len();
         let mut counted = vec![0u64; self.spus.total_count()];
-        let mut free = 0u64;
+        let mut free_below = 0usize;
         for (i, owner) in self.owners.iter().enumerate() {
             match owner {
-                FrameOwner::Free => free += 1,
+                FrameOwner::Free => free_below += 1,
                 _ => counted[self.frame_spu[i].index()] += 1,
             }
         }
+        let mut stacked = vec![false; mark];
+        for f in &self.free {
+            let i = f.0 as usize;
+            assert!(i < mark, "recycled {f:?} at or above the mark {mark}");
+            assert_eq!(self.owners[i], FrameOwner::Free, "recycled {f:?} is in use");
+            assert!(!stacked[i], "{f:?} recycled twice");
+            stacked[i] = true;
+        }
+        assert_eq!(
+            free_below,
+            self.free.len(),
+            "a free frame below the mark is not recycled"
+        );
+        let free = (free_below + (self.ledger.capacity() as usize - mark)) as u64;
         assert_eq!(free, self.ledger.free(), "free count mismatch");
         for id in self.spus.all_ids() {
             assert_eq!(
@@ -678,6 +731,14 @@ impl MemoryManager {
             );
         }
     }
+}
+
+/// A frame column with room for `n` frames, holding the `k` kernel
+/// frames' `value`.
+fn column<T: Clone>(n: usize, k: usize, value: T) -> Vec<T> {
+    let mut c = Vec::with_capacity(n);
+    c.resize(k, value);
+    c
 }
 
 #[cfg(test)]
@@ -703,6 +764,23 @@ mod tests {
         // User entitlements split the rest.
         assert_eq!(vm.levels(SpuId::user(0)).entitled, 450);
         assert_eq!(vm.levels(SpuId::user(1)).entitled, 450);
+    }
+
+    #[test]
+    fn boot_writes_only_the_kernel_frames() {
+        // An eager fill of the frame table would show here as a mark at
+        // the machine's frame count, not only as a slower boot.
+        let (cfg, set) = crate::MachineConfig::builder()
+            .topology(512, 3072, 1)
+            .scheme(Scheme::PIso)
+            .spus(1024, 1)
+            .build_with_spus()
+            .expect("valid machine");
+        let k = crate::Kernel::new(cfg, set);
+        let kernel = k.vm.levels(SpuId::KERNEL).used;
+        assert!(kernel > 0 && kernel < k.vm.ledger().capacity());
+        assert_eq!(k.vm.frame_count() as u64, kernel);
+        k.vm.check_invariants();
     }
 
     #[test]

@@ -1,21 +1,27 @@
-//! Property test: the arena/struct-of-arrays VM (direct-indexed frame
-//! columns, intrusive per-class residency lists, occupancy counters) is
-//! behavior-identical to the straightforward model it replaced — dense
-//! `Frame` structs with one merged arrival-order residency queue per
-//! SPU, scanned linearly for victims.
+//! Property test: the arena/struct-of-arrays VM (lazily grown,
+//! direct-indexed frame columns, intrusive per-class residency lists,
+//! occupancy counters) is behavior-identical to the straightforward model
+//! it replaced — an eagerly filled table of dense `Frame` structs with a
+//! free stack of every frame, and one merged arrival-order residency
+//! queue per SPU, scanned linearly for victims.
 //!
 //! The reference model below reimplements that old semantics verbatim.
 //! Both models are driven through identical random fault / evict / swap
 //! / pin / share / exit sequences and must agree on *everything*
 //! observable: every returned frame id, every eviction (owner, SPU,
-//! dirty) in order, the per-SPU charge counts, the per-frame resident
-//! state, and the swap-out/denial statistics.
+//! dirty) in order, the per-SPU charge counts, every frame's state
+//! (never-used ones included), and the swap-out/denial statistics.
 
 use proptest::prelude::*;
 use smp_kernel::{Acquired, Evicted, FileId, FrameId, FrameOwner, MemoryManager, Pid};
 use spu_core::{Scheme, SpuId, SpuSet};
 
+/// Frames in the small machine, where memory fills within a few dozen
+/// steps and most of a sequence runs at capacity.
 const TOTAL_FRAMES: u64 = 32;
+/// Frames in the large machine, where the lazy table's high-water mark
+/// stays below capacity for a good part of a long sequence.
+const LARGE_FRAMES: u64 = 160;
 const USERS: usize = 3;
 
 /// SpuId for ledger index `i`: kernel, shared, then the users.
@@ -64,29 +70,39 @@ enum RefChargeError {
 }
 
 impl RefVm {
-    /// Builds the reference alongside a freshly booted real manager,
-    /// copying its boot-time allowed levels (the policy pass never runs
-    /// during the op sequence, so they stay frozen in both models).
-    fn mirroring(vm: &MemoryManager, spus: &SpuSet, scheme: Scheme) -> Self {
+    /// Builds the reference alongside a freshly booted real manager of
+    /// `total` frames, copying its boot-time kernel charge and allowed
+    /// levels (the policy pass never runs during the op sequence, so they
+    /// stay frozen in both models). Boot took the kernel's frames off
+    /// the top of the full free stack: ids `0..kernel`.
+    fn mirroring(vm: &MemoryManager, spus: &SpuSet, scheme: Scheme, total: u64) -> Self {
         let n_spus = spus.total_count();
+        let kernel = vm.levels(SpuId::KERNEL).used;
+        let mut frames = vec![
+            RefFrame {
+                owner: FrameOwner::Free,
+                spu: SpuId::KERNEL,
+                dirty: false,
+                pinned: false,
+                stamp: 0,
+                arrival: 0,
+            };
+            total as usize
+        ];
+        let mut free: Vec<u32> = (0..total as u32).rev().collect();
+        for _ in 0..kernel {
+            let f = &mut frames[free.pop().expect("kernel frames fit") as usize];
+            f.owner = FrameOwner::Kernel;
+            f.pinned = true;
+        }
         RefVm {
-            frames: vec![
-                RefFrame {
-                    owner: FrameOwner::Free,
-                    spu: SpuId::KERNEL,
-                    dirty: false,
-                    pinned: false,
-                    stamp: 0,
-                    arrival: 0,
-                };
-                TOTAL_FRAMES as usize
-            ],
-            free: (0..TOTAL_FRAMES as u32).rev().collect(),
+            frames,
+            free,
             queues: vec![Vec::new(); n_spus],
             used: (0..n_spus).map(|i| vm.levels(spu_at(i)).used).collect(),
             allowed: (0..n_spus).map(|i| vm.levels(spu_at(i)).allowed).collect(),
-            total_used: 0,
-            capacity: TOTAL_FRAMES,
+            total_used: kernel,
+            capacity: total,
             enforce: scheme.enforces_isolation(),
             seq: 0,
             swap_outs: vec![0; n_spus],
@@ -341,16 +357,16 @@ fn pick_resident(r: &RefVm, pick: u32) -> Option<FrameId> {
     }
 }
 
+/// Compares every frame, free and never-used ones included, so a lazy
+/// table's frames above its mark must read as the eager table's.
 fn assert_same_state(vm: &MemoryManager, r: &RefVm, step: usize) {
-    for i in 0..TOTAL_FRAMES as u32 {
-        let f = vm.frame(FrameId(i));
-        let rf = r.frames[i as usize];
+    for (i, rf) in r.frames.iter().enumerate() {
+        let f = vm.frame(FrameId(i as u32));
         assert_eq!(f.owner, rf.owner, "frame {i} owner diverged at step {step}");
-        if !matches!(rf.owner, FrameOwner::Free) {
-            assert_eq!(f.spu, rf.spu, "frame {i} spu diverged at step {step}");
-            assert_eq!(f.dirty, rf.dirty, "frame {i} dirty diverged at step {step}");
-            assert_eq!(f.pinned, rf.pinned, "frame {i} pin diverged at step {step}");
-        }
+        assert_eq!(f.spu, rf.spu, "frame {i} spu diverged at step {step}");
+        assert_eq!(f.dirty, rf.dirty, "frame {i} dirty diverged at step {step}");
+        assert_eq!(f.pinned, rf.pinned, "frame {i} pin diverged at step {step}");
+        assert_eq!(f.stamp, rf.stamp, "frame {i} stamp diverged at step {step}");
     }
     for s in 0..USERS + 2 {
         let id = spu_at(s);
@@ -381,16 +397,29 @@ struct Coverage {
     cache_evictions: u64,
     denials: u64,
     swap_outs: u64,
+    /// Eviction-free acquires that got a never-used frame (the lazy
+    /// table bumps its mark).
+    fresh_frames: u64,
+    /// Eviction-free acquires that got a recycled frame while never-used
+    /// ones remained (the lazy table pops its recycled stack first).
+    recycled_frames: u64,
 }
 
-fn run_equivalence(scheme: Scheme, ops: &[Op]) -> Coverage {
+/// Drives both models through `ops` on a machine of `frames` frames with
+/// `kernel_frac` of them charged to the kernel at boot.
+fn run_equivalence(scheme: Scheme, frames: u64, kernel_frac: f64, ops: &[Op]) -> Coverage {
     let spus = SpuSet::equal_users(USERS);
-    // No kernel fraction: every frame is in play for the op sequence.
-    let mut vm = MemoryManager::new(TOTAL_FRAMES, &spus, scheme, 0.0, 0.10);
-    let mut r = RefVm::mirroring(&vm, &spus, scheme);
+    let mut vm = MemoryManager::new(frames, &spus, scheme, kernel_frac, 0.10);
+    let mut r = RefVm::mirroring(&vm, &spus, scheme, frames);
     // Per-pid page cursors keep Anon owners unique, mimicking a growing
     // region; evicted pages are simply re-faulted under a fresh index.
     let mut next_page = [0u32; 4];
+    // Frames handed out so far: the kernel's, then each acquire's.
+    let mut handed_out: Vec<bool> = r
+        .frames
+        .iter()
+        .map(|f| f.owner == FrameOwner::Kernel)
+        .collect();
     let mut cov = Coverage::default();
     let mut note = |want: &Acquired| match want {
         Acquired::Frame {
@@ -404,8 +433,19 @@ fn run_equivalence(scheme: Scheme, ops: &[Op]) -> Coverage {
                 cov.swap_outs += 1;
             }
         }
+        Acquired::Frame {
+            frame,
+            evicted: None,
+        } => {
+            let i = frame.0 as usize;
+            if !handed_out[i] {
+                handed_out[i] = true;
+                cov.fresh_frames += 1;
+            } else if handed_out.contains(&false) {
+                cov.recycled_frames += 1;
+            }
+        }
         Acquired::Denied => cov.denials += 1,
-        _ => {}
     };
     for (step, &op) in ops.iter().enumerate() {
         match op {
@@ -465,7 +505,7 @@ fn run_equivalence(scheme: Scheme, ops: &[Op]) -> Coverage {
                 // Release the pid's frames in ascending frame order, the
                 // order the reference model's scan frees them.
                 let pid = Pid(pid + 1);
-                for f in (0..TOTAL_FRAMES as u32).map(FrameId) {
+                for f in (0..frames as u32).map(FrameId) {
                     if matches!(vm.frame(f).owner, FrameOwner::Anon { pid: p, .. } if p == pid) {
                         vm.release_frame(f);
                     }
@@ -483,17 +523,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Isolation scheme: per-SPU limits enforced, own-page stealing,
-    /// over-allowance global victims.
+    /// over-allowance global victims. No kernel fraction: every frame is
+    /// in play for the op sequence.
     #[test]
     fn soa_vm_matches_reference_under_piso(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        run_equivalence(Scheme::PIso, &ops);
+        run_equivalence(Scheme::PIso, TOTAL_FRAMES, 0.0, &ops);
     }
 
     /// SMP scheme: no limits, global-FIFO victimization by oldest
     /// unpinned stamp — the arrival/stamp bookkeeping must agree too.
     #[test]
     fn soa_vm_matches_reference_under_smp(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        run_equivalence(Scheme::Smp, &ops);
+        run_equivalence(Scheme::Smp, TOTAL_FRAMES, 0.0, &ops);
+    }
+
+    /// With a tenth of memory booted to the kernel, the lazy table's
+    /// frames match the eager table's on both machines under both
+    /// schemes: on the large one the mark stays below capacity for part
+    /// of a long sequence, so recycled pops interleave with mark bumps.
+    #[test]
+    fn lazy_table_matches_eager_reference_with_kernel_frames(
+        ops in prop::collection::vec(op_strategy(), 1..400),
+    ) {
+        for frames in [TOTAL_FRAMES, LARGE_FRAMES] {
+            for scheme in [Scheme::PIso, Scheme::Smp] {
+                run_equivalence(scheme, frames, 0.10, &ops);
+            }
+        }
     }
 }
 
@@ -510,7 +566,7 @@ fn generated_sequences_exercise_eviction_paths() {
     for _ in 0..16 {
         let ops = strat.generate(&mut rng);
         for scheme in [Scheme::PIso, Scheme::Smp] {
-            let cov = run_equivalence(scheme, &ops);
+            let cov = run_equivalence(scheme, TOTAL_FRAMES, 0.0, &ops);
             total.evictions += cov.evictions;
             total.cache_evictions += cov.cache_evictions;
             total.denials += cov.denials;
@@ -524,4 +580,35 @@ fn generated_sequences_exercise_eviction_paths() {
         total.cache_evictions
     );
     assert!(total.swap_outs > 10, "swap-outs: {}", total.swap_outs);
+}
+
+/// Guards the lazy table's two free-frame sources: on every machine and
+/// kernel fraction the properties above run, long sequences must both
+/// bump the mark and pop a recycled frame while never-used ones remain,
+/// or the order between the two would go unchecked.
+#[test]
+fn generated_sequences_pop_recycled_frames_and_bump_the_mark() {
+    use proptest::test_runner::TestRng;
+    let mut rng = TestRng::deterministic("vm_equivalence::free_sources");
+    let strat = prop::collection::vec(op_strategy(), 300..400);
+    for (frames, kernel_frac) in [
+        (TOTAL_FRAMES, 0.0),
+        (TOTAL_FRAMES, 0.10),
+        (LARGE_FRAMES, 0.10),
+    ] {
+        let (mut fresh, mut recycled) = (0, 0);
+        for _ in 0..16 {
+            let ops = strat.generate(&mut rng);
+            for scheme in [Scheme::PIso, Scheme::Smp] {
+                let cov = run_equivalence(scheme, frames, kernel_frac, &ops);
+                fresh += cov.fresh_frames;
+                recycled += cov.recycled_frames;
+            }
+        }
+        assert!(fresh > 0, "{frames} frames: no mark bumps");
+        assert!(
+            recycled > 0,
+            "{frames} frames: no recycled pops below capacity"
+        );
+    }
 }

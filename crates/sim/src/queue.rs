@@ -16,13 +16,16 @@
 //!   the horizon (e.g. 1 s sync-daemon wakeups), promoted into the near
 //!   wheel as the cursor advances.
 //!
-//! Only the bucket currently being drained is sorted (lazily, once), so
-//! the common schedule→pop cycle never pays a comparison-based reorder of
-//! the whole pending set. Pop order is exactly the old heap's: ascending
-//! `(time, sequence)` — verified side-by-side against a reference heap by
-//! `tests/prop_queue.rs`.
+//! Other slots take unsorted appends. The bucket currently being drained
+//! is sorted ascending once, when the cursor reaches it, and popped from
+//! the front. A fresh sequence number sorts after every pending one, so a
+//! schedule at or after the active bucket's last time — every
+//! same-instant burst — is a `push_back`; only an earlier-time schedule
+//! into that bucket binary-searches and inserts. Pop order is exactly the
+//! old heap's: ascending `(time, sequence)` — verified side-by-side
+//! against a reference heap by `tests/prop_queue.rs`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -62,14 +65,14 @@ impl<E> Entry<E> {
 #[derive(Debug)]
 struct Slot<E> {
     bucket: u64,
-    entries: Vec<Entry<E>>,
+    entries: VecDeque<Entry<E>>,
 }
 
 impl<E> Default for Slot<E> {
     fn default() -> Self {
         Slot {
             bucket: 0,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
         }
     }
 }
@@ -106,11 +109,10 @@ pub struct EventQueue<E> {
     /// `cursor + NEAR_BUCKETS` (keys are promoted on cursor advance, so
     /// the invariant holds between any two public calls).
     far: BTreeMap<u64, Vec<Entry<E>>>,
-    /// The bucket currently being drained.
+    /// The bucket currently being drained. Between public calls its
+    /// slot is sorted ascending by `(at, seq)` (next event first, so
+    /// draining is `VecDeque::pop_front`).
     cursor: u64,
-    /// Whether the cursor slot is sorted descending by `(at, seq)` (next
-    /// event last, so draining is `Vec::pop`).
-    cursor_sorted: bool,
     /// Total pending entries across both levels.
     len: usize,
     next_seq: u64,
@@ -131,7 +133,6 @@ impl<E> EventQueue<E> {
             occ: [0; OCC_WORDS],
             far: BTreeMap::new(),
             cursor: 0,
-            cursor_sorted: true,
             len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
@@ -195,7 +196,7 @@ impl<E> EventQueue<E> {
         if bucket >= self.cursor + NEAR_BUCKETS {
             self.far.entry(bucket).or_default().push(entry);
         } else {
-            let sorted = self.cursor_sorted && bucket == self.cursor;
+            let active = bucket == self.cursor;
             let idx = (bucket & NEAR_MASK) as usize;
             self.set_occ(idx);
             let slot = &mut self.near[idx];
@@ -204,15 +205,15 @@ impl<E> EventQueue<E> {
             } else {
                 debug_assert_eq!(slot.bucket, bucket);
             }
-            if sorted {
-                // Keep the active bucket's descending run intact: a fresh
-                // seq is larger than every existing one, so equal-time
-                // entries land before (deeper than) their elders.
+            // The fresh seq sorts after every pending entry, so only a
+            // time earlier than the back of the ascending active bucket
+            // needs a search; anything else is an append.
+            if active && slot.entries.back().is_some_and(|e| e.at > at) {
                 let key = entry.key();
-                let pos = slot.entries.partition_point(|e| e.key() > key);
+                let pos = slot.entries.partition_point(|e| e.key() < key);
                 slot.entries.insert(pos, entry);
             } else {
-                slot.entries.push(entry);
+                slot.entries.push_back(entry);
             }
         }
         self.len += 1;
@@ -228,13 +229,7 @@ impl<E> EventQueue<E> {
             let idx = (self.cursor & NEAR_MASK) as usize;
             let slot = &mut self.near[idx];
             if !slot.entries.is_empty() && slot.bucket == self.cursor {
-                if !self.cursor_sorted {
-                    // (at, seq) pairs are unique, so unstable is safe.
-                    slot.entries
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cursor_sorted = true;
-                }
-                let entry = slot.entries.pop().expect("checked non-empty");
+                let entry = slot.entries.pop_front().expect("checked non-empty");
                 self.len -= 1;
                 self.last_popped = entry.at;
                 if slot.entries.is_empty() {
@@ -252,11 +247,11 @@ impl<E> EventQueue<E> {
     /// Returns the shared due time, or `None` if the queue is empty.
     ///
     /// Equal-time events always share one near bucket and sit contiguous
-    /// at the tail of the sorted cursor slot, so the drain is a run of
-    /// `Vec::pop`s with no re-scan. Events scheduled *while the caller
-    /// handles the batch* at that same instant get larger sequence
-    /// numbers and are returned by the next `pop_run` call — exactly the
-    /// order a one-at-a-time `pop` loop would deliver.
+    /// at the front of the sorted cursor slot, so the drain is a run of
+    /// `VecDeque::pop_front`s with no re-scan. Events scheduled *while
+    /// the caller handles the batch* at that same instant get larger
+    /// sequence numbers and are returned by the next `pop_run` call —
+    /// exactly the order a one-at-a-time `pop` loop would deliver.
     pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
         if self.len == 0 {
@@ -266,14 +261,9 @@ impl<E> EventQueue<E> {
             let idx = (self.cursor & NEAR_MASK) as usize;
             let slot = &mut self.near[idx];
             if !slot.entries.is_empty() && slot.bucket == self.cursor {
-                if !self.cursor_sorted {
-                    slot.entries
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cursor_sorted = true;
-                }
-                let at = slot.entries.last().expect("checked non-empty").at;
-                while slot.entries.last().is_some_and(|e| e.at == at) {
-                    out.push(slot.entries.pop().expect("checked non-empty").event);
+                let at = slot.entries.front().expect("checked non-empty").at;
+                while slot.entries.front().is_some_and(|e| e.at == at) {
+                    out.push(slot.entries.pop_front().expect("checked non-empty").event);
                 }
                 self.len -= out.len();
                 self.last_popped = at;
@@ -286,8 +276,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Jumps the cursor to the next non-empty bucket (near or far) and
-    /// promotes far buckets that fall inside the new near horizon.
+    /// Jumps the cursor to the next non-empty bucket (near or far),
+    /// promotes far buckets that fall inside the new near horizon, and
+    /// sorts the new cursor slot ascending.
     ///
     /// Only called with `len > 0` and the cursor slot drained.
     fn advance(&mut self) {
@@ -302,7 +293,6 @@ impl<E> EventQueue<E> {
             (None, None) => unreachable!("advance called on empty queue"),
         };
         self.cursor = target;
-        self.cursor_sorted = false;
         // Promote far buckets now inside the near horizon. A promoted
         // bucket's slot is necessarily free: any occupant would share its
         // residue mod NEAR_BUCKETS while both lie in the same horizon-wide
@@ -312,17 +302,22 @@ impl<E> EventQueue<E> {
             if bucket >= self.cursor + NEAR_BUCKETS {
                 break;
             }
-            let mut entries = self.far.remove(&bucket).expect("key just observed");
+            let entries = self.far.remove(&bucket).expect("key just observed");
             let idx = (bucket & NEAR_MASK) as usize;
             self.set_occ(idx);
             let slot = &mut self.near[idx];
             debug_assert!(slot.entries.is_empty());
             slot.bucket = bucket;
-            // Append rather than assign: the drained slot keeps the
+            // Extend rather than assign: the drained slot keeps the
             // buffer it grew, so later schedules into it do not regrow
             // one from empty. The slot is empty, so order is unchanged.
-            slot.entries.append(&mut entries);
+            slot.entries.extend(entries);
         }
+        // (at, seq) pairs are unique, so unstable is safe.
+        let slot = &mut self.near[(self.cursor & NEAR_MASK) as usize];
+        slot.entries
+            .make_contiguous()
+            .sort_unstable_by_key(Entry::key);
     }
 
     /// The due time of the earliest pending event, if any.
@@ -332,11 +327,7 @@ impl<E> EventQueue<E> {
         }
         let slot = &self.near[(self.cursor & NEAR_MASK) as usize];
         if !slot.entries.is_empty() && slot.bucket == self.cursor {
-            return if self.cursor_sorted {
-                slot.entries.last().map(|e| e.at)
-            } else {
-                slot.entries.iter().map(|e| e.at).min()
-            };
+            return slot.entries.front().map(|e| e.at);
         }
         let near_best = self
             .next_occupied((self.cursor & NEAR_MASK) as usize)
@@ -375,7 +366,6 @@ impl<E> EventQueue<E> {
         self.occ = [0; OCC_WORDS];
         self.far.clear();
         self.cursor = 0;
-        self.cursor_sorted = true;
         self.len = 0;
         self.next_seq = 0;
         self.last_popped = SimTime::ZERO;
@@ -542,6 +532,42 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(q.pop_run(&mut buf), Some(t));
         assert_eq!(buf, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn fresh_queue_burst_pops_fifo() {
+        // A fresh queue's active bucket starts sorted, so a t=0 burst is
+        // a run of appends; it must still drain in scheduling order.
+        let mut q = EventQueue::new();
+        for i in 0..2048 {
+            q.schedule(SimTime::ZERO, i);
+        }
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
+        let mut buf = Vec::new();
+        assert_eq!(q.pop_run(&mut buf), Some(SimTime::ZERO));
+        assert_eq!(buf, (1..2048).collect::<Vec<_>>());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn peek_time_agrees_on_sorted_and_unsorted_buckets() {
+        let mut q = EventQueue::new();
+        let base = 5u64 << BUCKET_SHIFT;
+        // These land, unsorted, in a bucket ahead of the cursor.
+        q.schedule(SimTime::from_nanos(base + 900), 'b');
+        q.schedule(SimTime::from_nanos(base + 100), 'a');
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(base + 100)));
+        q.schedule(SimTime::from_nanos(base), 'z');
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(base)));
+        // The pop moves the cursor there and sorts the bucket; the next
+        // two schedules insert into it before its back.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(base), 'z')));
+        q.schedule(SimTime::from_nanos(base + 500), 'm');
+        q.schedule(SimTime::from_nanos(base + 50), 'y');
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(base + 50)));
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['y', 'a', 'm', 'b']);
     }
 
     #[test]

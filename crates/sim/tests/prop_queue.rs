@@ -57,6 +57,16 @@ impl RefQueue {
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         self.heap.pop().map(|e| (e.at, e.tag))
     }
+
+    /// Pops every event due at the earliest instant, as `pop_run` does.
+    fn pop_run(&mut self) -> Option<(SimTime, Vec<u64>)> {
+        let at = self.heap.peek()?.at;
+        let mut tags = Vec::new();
+        while self.heap.peek().is_some_and(|e| e.at == at) {
+            tags.push(self.heap.pop().expect("just peeked").tag);
+        }
+        Some((at, tags))
+    }
 }
 
 /// Drives the wheel and the reference heap with identical traffic drawn
@@ -110,6 +120,57 @@ fn run_equivalence(seed: u64, steps: usize) {
     }
 }
 
+/// Drives bursts of up to 4,096 events at one instant through the wheel
+/// and the heap: the first at t = 0 on a fresh queue, each later one at
+/// the instant just popped. About one event in eight lands later, inside
+/// the active bucket or up to 16 buckets out, so the active bucket holds
+/// later times and the same-instant schedules after them are
+/// earlier-in-bucket inserts. Single pops and `pop_run`s interleave.
+fn run_bursts(seed: u64, rounds: usize) {
+    let mut rng = SplitMix64::new(seed);
+    let mut wheel = EventQueue::new();
+    let mut heap = RefQueue::default();
+    let mut now = SimTime::ZERO;
+    let mut tag = 0u64;
+    let mut buf = Vec::new();
+    for _ in 0..rounds {
+        for _ in 0..=rng.next_below(4096) {
+            let offset = match rng.next_below(16) {
+                0 => rng.next_below(1 << 19), // later, mostly in the active bucket
+                1 => rng.next_below(1 << 24), // later, up to 16 buckets out
+                _ => 0,                       // same instant
+            };
+            let at = SimTime::from_nanos(now.as_nanos() + offset);
+            wheel.schedule(at, tag);
+            heap.schedule(at, tag);
+            tag += 1;
+        }
+        for _ in 0..=rng.next_below(8) {
+            let popped = if rng.next_below(2) == 0 {
+                let got = wheel.pop();
+                assert_eq!(got, heap.pop(), "pop diverged after a burst");
+                got.map(|(at, _)| at)
+            } else {
+                let got = wheel.pop_run(&mut buf).map(|at| (at, buf.clone()));
+                assert_eq!(got, heap.pop_run(), "pop_run diverged after a burst");
+                got.map(|(at, _)| at)
+            };
+            if let Some(at) = popped {
+                now = at;
+            }
+            assert_eq!(wheel.peek_time(), heap.heap.peek().map(|e| e.at));
+            assert_eq!(wheel.len(), heap.heap.len());
+        }
+    }
+    loop {
+        let got = wheel.pop_run(&mut buf).map(|at| (at, buf.clone()));
+        assert_eq!(got, heap.pop_run(), "pop_run diverged in drain");
+        if got.is_none() {
+            break;
+        }
+    }
+}
+
 proptest! {
     /// Random interleaved schedule/pop traffic pops identically from the
     /// wheel and the reference heap.
@@ -145,6 +206,15 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// Bursts of thousands of same-instant events, on a fresh queue and
+    /// at the instant just popped, mixed with later and
+    /// earlier-in-bucket schedules, pop identically through `pop` and
+    /// `pop_run`.
+    #[test]
+    fn large_bursts_match(seed in any::<u64>()) {
+        run_bursts(seed, 6);
     }
 
     /// Events far past the near horizon are promoted in exactly the
