@@ -1,9 +1,11 @@
 //! Determinism of the fault-injection layer: faults are scheduled on the
 //! simulated clock from a seeded plan, so an empty plan must be
 //! indistinguishable from no plan at all, and a seeded random plan must
-//! reproduce the exact same run every time.
+//! reproduce the exact same run every time, byte for byte the committed
+//! export digests.
 
 use perf_isolation::core::{Scheme, SpuId, SpuSet};
+use perf_isolation::experiments::report::check_export_digest;
 use perf_isolation::experiments::{fault_isolation, Scale};
 use perf_isolation::kernel::{Kernel, MachineConfig, Program};
 use perf_isolation::sim::{FaultKind, FaultPlan, SimDuration, SimTime};
@@ -105,4 +107,6 @@ fn seeded_random_matrix_run_is_reproducible() {
         "seeded random-plan run is not deterministic (trace)"
     );
     assert!(!a.metrics_jsonl.is_empty() && !a.chrome_trace.is_empty());
+    check_export_digest("fault_isolation_seed1234_metrics.jsonl", &a.metrics_jsonl);
+    check_export_digest("fault_isolation_seed1234_trace.json", &a.chrome_trace);
 }

@@ -1,9 +1,11 @@
 //! Seeded determinism of the overload stack: the arrival generator is a
 //! pure function of its seed, and the overload matrix's exports are
-//! byte-identical however many sweep threads produce them.
+//! byte-identical however many sweep threads produce them, and match the
+//! committed export digests.
 
 use event_sim::{ArrivalProcess, SimTime};
 use perf_isolation::experiments::overload::{self, OverloadScenario};
+use perf_isolation::experiments::report::check_export_digest;
 use perf_isolation::experiments::sweep::{run_scenario, SweepOptions};
 use perf_isolation::Scale;
 
@@ -53,9 +55,11 @@ fn overload_exports_are_byte_identical_across_thread_counts() {
         parallel.report.format(),
         "rendered report diverged at 4 threads"
     );
+    let matrix = overload::overload_matrix_json(&serial.report);
     assert_eq!(
-        overload::overload_matrix_json(&serial.report),
+        matrix,
         overload::overload_matrix_json(&parallel.report),
         "matrix JSON diverged at 4 threads"
     );
+    check_export_digest("overload_matrix.json", &matrix);
 }
