@@ -407,13 +407,7 @@ pub fn run_instrumented(seed: u64, scale: Scale) -> InstrumentedRun {
     k.enable_trace(1 << 20);
     k.enable_sampling(SimDuration::from_millis(100));
     let metrics = k.run(SimTime::from_secs(600));
-    let metrics_jsonl = smp_kernel::metrics_jsonl(&metrics);
-    let chrome_trace = smp_kernel::chrome_trace_json(k.trace(), k.spus(), &metrics.obsv);
-    InstrumentedRun {
-        metrics,
-        metrics_jsonl,
-        chrome_trace,
-    }
+    InstrumentedRun::new(&k, metrics)
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use event_sim::{SimDuration, SimTime};
 use smp_kernel::{Channel, Kernel, MachineConfig, Program, RunMetrics, Tuning, PAGE_SIZE};
 use spu_core::{Scheme, SpuId, SpuSet};
 
+use crate::pmake8::InstrumentedRun;
 use crate::report::render_table;
 use crate::sweep::{self, Render, Scenario, SweepOptions, Value};
 use crate::Scale;
@@ -391,22 +392,6 @@ pub fn run(scale: Scale) -> LockLeakageResult {
     sweep::run_scenario(&LockLeakageScenario { scale }, &SweepOptions::new()).report
 }
 
-/// One fully instrumented run (PIso, exclusive mode — the cell where
-/// both the lock channel and CPU revocation show up): attribution, SLO
-/// tracker, tracing and 10 ms sampling on, all exports rendered.
-pub struct LockLeakageInstrumented {
-    /// The run's metrics, including the interference and SLO reports.
-    pub metrics: RunMetrics,
-    /// JSONL metrics export, interference and SLO lines included.
-    pub metrics_jsonl: String,
-    /// Chrome trace-event JSON with `lock-wait:*` spans (Perfetto /
-    /// `chrome://tracing`).
-    pub chrome_trace: String,
-    /// The interference matrix alone as one JSON document (the CI
-    /// artifact).
-    pub matrix_json: String,
-}
-
 /// Runs the instrumented cell's kernel with every observer off — the
 /// baseline the benches compare [`run_instrumented`] against to price
 /// the attribution + export layer.
@@ -414,24 +399,21 @@ pub fn run_baseline(scale: Scale) -> RunMetrics {
     boot(Scheme::PIso, LockMode::Excl, scale).run(CAP)
 }
 
-/// Runs the instrumented cell. Deterministic: equal scales give
+/// Runs the instrumented cell (PIso, exclusive mode — where both the
+/// lock channel and CPU revocation show up) with attribution, the SLO
+/// tracker, tracing and 10 ms sampling on. The metrics export carries
+/// the interference and SLO lines and the trace the `lock-wait:*`
+/// spans; [`smp_kernel::interference_matrix_json`] renders the matrix
+/// alone from `metrics.interference()`. Deterministic: equal scales give
 /// byte-identical exports.
-pub fn run_instrumented(scale: Scale) -> LockLeakageInstrumented {
+pub fn run_instrumented(scale: Scale) -> InstrumentedRun {
     let mut k = boot(Scheme::PIso, LockMode::Excl, scale);
     k.enable_attribution();
     k.enable_slo(slo_target());
     k.enable_trace(1 << 20);
     k.enable_sampling(SimDuration::from_millis(10));
     let metrics = k.run(CAP);
-    let metrics_jsonl = smp_kernel::metrics_jsonl(&metrics);
-    let chrome_trace = smp_kernel::chrome_trace_json(k.trace(), k.spus(), &metrics.obsv);
-    let matrix_json = smp_kernel::interference_matrix_json(metrics.interference());
-    LockLeakageInstrumented {
-        metrics,
-        metrics_jsonl,
-        chrome_trace,
-        matrix_json,
-    }
+    InstrumentedRun::new(&k, metrics)
 }
 
 #[cfg(test)]
@@ -496,7 +478,10 @@ mod tests {
         let b = run_instrumented(Scale::Quick);
         assert_eq!(a.metrics_jsonl, b.metrics_jsonl);
         assert_eq!(a.chrome_trace, b.chrome_trace);
-        assert_eq!(a.matrix_json, b.matrix_json);
+        assert_eq!(
+            smp_kernel::interference_matrix_json(a.metrics.interference()),
+            smp_kernel::interference_matrix_json(b.metrics.interference())
+        );
         assert!(a.metrics_jsonl.contains("\"type\":\"interference\""));
         assert!(a.metrics_jsonl.contains("\"type\":\"slo\""));
         assert!(a.metrics_jsonl.contains("\"type\":\"slo_sample\""));

@@ -177,7 +177,8 @@ pub fn run_instrumented(scale: Scale) -> (smp_kernel::RunMetrics, String) {
     k.enable_sampling(event_sim::SimDuration::from_millis(100));
     let m = k.run(SimTime::from_secs(1200));
     assert!(m.completed, "instrumented mem-iso run hit the time cap");
-    let jsonl = smp_kernel::series_jsonl(&m.obsv);
+    let mut jsonl = String::new();
+    smp_kernel::export::write_series(&mut jsonl, &m.obsv.series);
     (m, jsonl)
 }
 

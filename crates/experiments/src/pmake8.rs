@@ -260,8 +260,9 @@ pub fn run(scale: crate::Scale) -> Pmake8Result {
     sweep::run_scenario(&Pmake8Scenario { scale }, &SweepOptions::new()).report
 }
 
-/// One fully-instrumented PIso run of the unbalanced configuration:
-/// tracing and periodic sampling enabled, exports rendered.
+/// One fully instrumented run with its exports rendered: what every
+/// experiment's `run_instrumented` returns (the consolidation one adds
+/// a tenant rollup).
 #[derive(Clone, Debug)]
 pub struct InstrumentedRun {
     /// The run's metrics (including the observability report).
@@ -271,6 +272,17 @@ pub struct InstrumentedRun {
     /// Chrome trace-event JSON ([`smp_kernel::chrome_trace_json`]),
     /// loadable in Perfetto / `chrome://tracing`.
     pub chrome_trace: String,
+}
+
+impl InstrumentedRun {
+    /// Renders both exports of `metrics`, the finished run of `k`.
+    pub fn new(k: &Kernel, metrics: RunMetrics) -> InstrumentedRun {
+        InstrumentedRun {
+            metrics_jsonl: smp_kernel::metrics_jsonl(&metrics),
+            chrome_trace: smp_kernel::chrome_trace_json(k.trace(), k.spus(), &metrics.obsv),
+            metrics,
+        }
+    }
 }
 
 /// Runs the unbalanced Pmake8 workload under PIso with the event trace
@@ -287,13 +299,7 @@ pub fn run_instrumented(scale: crate::Scale) -> InstrumentedRun {
         metrics.completed,
         "instrumented pmake8 run hit the time cap"
     );
-    let metrics_jsonl = smp_kernel::metrics_jsonl(&metrics);
-    let chrome_trace = smp_kernel::chrome_trace_json(k.trace(), k.spus(), &metrics.obsv);
-    InstrumentedRun {
-        metrics,
-        metrics_jsonl,
-        chrome_trace,
-    }
+    InstrumentedRun::new(&k, metrics)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   the sequence a serial run would produce, making parallel output
 //!   *byte-identical* to serial output.
 //! * **Per-cell counters** — wall-clock is reported through the
-//!   existing `obsv` counter registry and its JSONL exporter
+//!   existing `obsv` counter registry and its JSONL writer
 //!   ([`SweepRun::counters_jsonl`]).
 //!
 //! # Examples
@@ -34,11 +34,12 @@
 //! ```
 
 use std::any::Any;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use smp_kernel::export::{json_escape, json_num};
-use smp_kernel::{CounterRegistry, ObsvReport};
+use smp_kernel::export::{write_counters, Num, Str};
+use smp_kernel::CounterRegistry;
 
 use crate::Scale;
 
@@ -91,19 +92,27 @@ impl Value {
             _ => None,
         }
     }
+}
 
-    /// JSON rendering, for the sweep's outcome export stream. Floats go
-    /// through [`json_num`] (non-finite → `null`); the decimal form
-    /// round-trips (Rust's shortest-representation `Display`).
-    pub fn to_json(&self) -> String {
+/// The JSON rendering, for the sweep's outcome export stream: floats
+/// through [`Num`] (non-finite → `null`; the decimal form round-trips),
+/// strings through [`Str`].
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::F(x) => json_num(*x),
-            Value::U(x) => x.to_string(),
-            Value::B(x) => x.to_string(),
-            Value::S(s) => format!("\"{}\"", json_escape(s)),
+            Value::F(x) => write!(f, "{}", Num(*x)),
+            Value::U(x) => write!(f, "{x}"),
+            Value::B(x) => write!(f, "{x}"),
+            Value::S(s) => write!(f, "{}", Str(s)),
             Value::L(items) => {
-                let inner: Vec<String> = items.iter().map(Value::to_json).collect();
-                format!("[{}]", inner.join(","))
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
             }
         }
     }
@@ -237,8 +246,8 @@ impl<R> SweepRun<R> {
         stats_counters(&self.stats)
     }
 
-    /// The counters as JSONL via the existing exporter
-    /// ([`smp_kernel::counters_jsonl`]).
+    /// The counters as JSONL via the existing writer
+    /// ([`smp_kernel::export::write_counters`]).
     pub fn counters_jsonl(&self) -> String {
         stats_counters_jsonl(&self.stats)
     }
@@ -265,11 +274,9 @@ fn stats_counters(stats: &[CellStat]) -> CounterRegistry {
 }
 
 fn stats_counters_jsonl(stats: &[CellStat]) -> String {
-    let report = ObsvReport {
-        counters: stats_counters(stats),
-        ..ObsvReport::default()
-    };
-    smp_kernel::counters_jsonl(&report)
+    let mut out = String::new();
+    write_counters(&mut out, &stats_counters(stats));
+    out
 }
 
 fn stats_timing_summary(stats: &[CellStat]) -> String {
@@ -395,7 +402,7 @@ fn assemble_run<S: Scenario>(
         "scenario {}: one result per cell",
         scenario.name()
     );
-    let name = json_escape(scenario.name());
+    let name = Str(scenario.name());
     let mut outcomes = Vec::with_capacity(keys.len());
     let mut stats = Vec::with_capacity(keys.len());
     let mut outcomes_jsonl = String::new();
@@ -403,11 +410,12 @@ fn assemble_run<S: Scenario>(
         let outcome = *outcome
             .downcast::<S::Outcome>()
             .expect("a scenario's jobs return its Outcome type");
-        outcomes_jsonl.push_str(&format!(
-            "{{\"scenario\":\"{name}\",\"cell\":\"{}\",\"outcome\":{}}}\n",
-            json_escape(&key),
-            outcome.encode().to_json()
-        ));
+        let _ = writeln!(
+            outcomes_jsonl,
+            "{{\"scenario\":{name},\"cell\":{},\"outcome\":{}}}",
+            Str(&key),
+            outcome.encode()
+        );
         outcomes.push(outcome);
         stats.push(CellStat { key, wall });
     }
@@ -473,7 +481,7 @@ impl SweepOutput {
         stats_counters(&self.stats)
     }
 
-    /// The counters as JSONL via [`smp_kernel::counters_jsonl`].
+    /// The counters as JSONL via [`smp_kernel::export::write_counters`].
     pub fn counters_jsonl(&self) -> String {
         stats_counters_jsonl(&self.stats)
     }

@@ -68,10 +68,7 @@ pub use config::{
     SECTORS_PER_PAGE,
 };
 pub use error::KernelError;
-pub use export::{
-    chrome_trace_json, counters_jsonl, histogram_json, interference_jsonl,
-    interference_matrix_json, metrics_jsonl, requests_jsonl, series_jsonl, slo_jsonl,
-};
+pub use export::{chrome_trace_json, interference_matrix_json, metrics_jsonl};
 pub use fs::{FileId, FileMeta, FileSystem};
 pub use kernel::Kernel;
 pub use locks::{LockId, LockTable};

@@ -25,6 +25,7 @@ use perf_isolation::experiments::cli::Args;
 use perf_isolation::experiments::lock_leakage::{self, LockLeakageScenario};
 use perf_isolation::experiments::report::export;
 use perf_isolation::experiments::sweep;
+use perf_isolation::kernel::interference_matrix_json;
 
 fn main() {
     let args = Args::from_env(&["--quick", "--threads"]);
@@ -48,7 +49,10 @@ fn main() {
         &[
             ("lock_leakage_metrics.jsonl", &inst.metrics_jsonl),
             ("lock_leakage_trace.json", &inst.chrome_trace),
-            ("lock_leakage_matrix.json", &inst.matrix_json),
+            (
+                "lock_leakage_matrix.json",
+                &interference_matrix_json(inst.metrics.interference()),
+            ),
         ],
     )
     .expect("write results/");
