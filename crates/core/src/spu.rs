@@ -271,18 +271,6 @@ impl SpuSet {
         self.weights.len() + 2
     }
 
-    /// The memory weight vector, if memory entitlements were set apart
-    /// from the CPU weights.
-    pub fn memory_weights(&self) -> Option<&[u32]> {
-        self.mem_weights.as_deref()
-    }
-
-    /// The disk-bandwidth weight vector, if disk entitlements were set
-    /// apart from the CPU weights.
-    pub fn disk_weights(&self) -> Option<&[u32]> {
-        self.disk_weights.as_deref()
-    }
-
     /// Iterator over all user SPU ids in index order.
     pub fn user_ids(&self) -> impl Iterator<Item = SpuId> + '_ {
         (0..self.weights.len() as u32).map(SpuId::user)

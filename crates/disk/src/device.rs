@@ -337,12 +337,6 @@ impl DiskDevice {
         });
         Some(Completion { at: finish, id })
     }
-
-    /// The service breakdown of the in-flight request (for tests and
-    /// tracing).
-    pub fn in_flight_breakdown(&self) -> Option<&ServiceBreakdown> {
-        self.in_flight.as_ref().map(|f| &f.breakdown)
-    }
 }
 
 /// Rebuilds a tracker with a new half-life, preserving configured shares.

@@ -112,16 +112,6 @@ impl FileSystem {
         assert!(block < m.blocks, "block {block} past end of {file:?}");
         m.start_sector + block * SECTORS_PER_PAGE as u64
     }
-
-    /// Number of files created.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Allocated high-water mark of a disk, in sectors.
-    pub fn used_sectors(&self, disk: usize) -> u64 {
-        self.cursors[disk]
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@ use hp_disk::{DiskDevice, DiskModel};
 use spu_core::{CpuPartition, LedgerAuditor, SpuId, SpuSet};
 
 use crate::bufcache::BufferCache;
-use crate::config::{MachineConfig, BW_HALF_LIFE, MEM_POLICY_PERIOD, SYNC_PERIOD, TICK};
+use crate::config::{
+    MachineConfig, BW_HALF_LIFE, KERNEL_MEM_FRAC, MEM_POLICY_PERIOD, SYNC_PERIOD, TICK,
+};
 use crate::error::KernelError;
 use crate::event::Event;
 use crate::fs::{FileId, FileSystem};
@@ -272,7 +274,7 @@ impl Kernel {
             cfg.total_frames(),
             &spus,
             cfg.scheme,
-            cfg.tuning.kernel_mem_frac,
+            KERNEL_MEM_FRAC,
             cfg.tuning.reserve_frac,
         );
         let sched = Scheduler::new(cfg.scheme, cfg.cpus, &spus);
@@ -442,11 +444,6 @@ impl Kernel {
         for d in &mut self.disks {
             d.record_queue_waits(true);
         }
-    }
-
-    /// Whether interference attribution is on.
-    pub fn attribution_enabled(&self) -> bool {
-        self.attribution.is_some()
     }
 
     /// Enables the per-SPU SLO tracker: every tracked job's response

@@ -148,11 +148,6 @@ impl RunMetrics {
         ))
     }
 
-    /// Total major faults across user SPUs.
-    pub fn total_major_faults(&self) -> u64 {
-        self.vm.iter().map(|v| v.major_faults).sum()
-    }
-
     /// Kernel-lock acquisitions attempted (from the counter registry).
     pub fn lock_acquires(&self) -> u64 {
         self.obsv.counters.get("locks.acquires")

@@ -287,11 +287,6 @@ impl Process {
             other => panic!("consume_cpu on non-Cpu micro-op: {other:?}"),
         }
     }
-
-    /// Whether the process is runnable.
-    pub fn is_ready(&self) -> bool {
-        self.state == ProcState::Ready
-    }
 }
 
 /// Handle to one process's page table inside the kernel's [`PageArena`].

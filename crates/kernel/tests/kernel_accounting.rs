@@ -4,6 +4,7 @@
 //! proportions, and invariants after every kind of run.
 
 use event_sim::{SimDuration, SimTime};
+use smp_kernel::config::KERNEL_MEM_FRAC;
 use smp_kernel::{Kernel, MachineConfig, Program, Tuning};
 use spu_core::{Scheme, SpuId, SpuSet};
 use std::sync::Arc;
@@ -237,14 +238,9 @@ fn prefetch_keeps_multiple_reads_outstanding() {
 
 #[test]
 fn kernel_spu_memory_reduces_user_entitlements() {
-    let tuning = Tuning {
-        kernel_mem_frac: 0.25,
-        ..Tuning::default()
-    };
     let cfg = MachineConfig::builder()
         .topology(1, 16, 1)
         .scheme(Scheme::PIso)
-        .tuning(tuning)
         .build()
         .unwrap();
     let mut k = Kernel::new(cfg, SpuSet::equal_users(2));
@@ -253,7 +249,7 @@ fn kernel_spu_memory_reduces_user_entitlements() {
     assert!(m.completed);
     let total = 16 * 256; // frames
     let kernel_used = m.mem_levels[SpuId::KERNEL.index()].used;
-    assert_eq!(kernel_used, total / 4);
+    assert_eq!(kernel_used, (total as f64 * KERNEL_MEM_FRAC).round() as u64);
     // Users split what the kernel does not hold.
     let e0 = m.mem_levels[SpuId::user(0).index()].entitled;
     let e1 = m.mem_levels[SpuId::user(1).index()].entitled;

@@ -36,5 +36,5 @@ pub use fault::{backoff_delay, FaultDomain, FaultEvent, FaultKind, FaultPlan};
 pub use fingerprint::{Fingerprint, Fnv64};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use stats::{Histogram, LogHistogram, OnlineStats, TimeWeighted};
+pub use stats::{LogHistogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -74,11 +74,6 @@ impl SplitMix64 {
         lo + self.next_below(hi - lo + 1)
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// A duration jittered uniformly in `[base*(1-frac), base*(1+frac)]`.
     /// `frac` is clamped to `[0, 1]`.
     pub fn jitter(&mut self, base: SimDuration, frac: f64) -> SimDuration {

@@ -2,13 +2,10 @@
 //! experiment harness.
 //!
 //! * [`OnlineStats`] — count/mean/variance/min/max in O(1) space (Welford).
-//! * [`Histogram`] — fixed-width bucket histogram with percentile queries.
 //! * [`LogHistogram`] — log-bucketed latency histogram with deterministic
 //!   bucket boundaries, merge, and percentile queries.
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant value
-//!   (e.g. queue depth or pages in use over simulated time).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Streaming count/mean/variance/min/max accumulator (Welford's algorithm).
 ///
@@ -120,93 +117,6 @@ impl OnlineStats {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Fixed-width bucket histogram over `[lo, hi)` with overflow buckets,
-/// supporting approximate percentile queries.
-///
-/// # Examples
-///
-/// ```
-/// use event_sim::Histogram;
-/// let mut h = Histogram::new(0.0, 100.0, 10);
-/// for x in 0..100 {
-///     h.add(x as f64);
-/// }
-/// let p50 = h.percentile(50.0).unwrap();
-/// assert!((40.0..=60.0).contains(&p50));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "need at least one bucket");
-        assert!(hi > lo, "empty range");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate `p`-th percentile (`0 < p <= 100`), linearly interpolated
-    /// within the containing bucket. Returns `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let target = (p / 100.0 * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if seen + c >= target {
-                let into = (target - seen) as f64 / c.max(1) as f64;
-                return Some(self.lo + width * (i as f64 + into));
-            }
-            seen += c;
-        }
-        Some(self.hi)
     }
 }
 
@@ -388,82 +298,6 @@ impl LogHistogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity.
-///
-/// Call [`TimeWeighted::set`] whenever the value changes; the accumulator
-/// integrates value × elapsed-time between updates.
-///
-/// # Examples
-///
-/// ```
-/// use event_sim::{SimTime, TimeWeighted};
-/// let mut w = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// w.set(SimTime::from_secs(1), 10.0); // value was 0 for 1s
-/// w.set(SimTime::from_secs(3), 0.0);  // value was 10 for 2s
-/// assert!((w.average(SimTime::from_secs(4)) - 5.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    value: f64,
-    integral: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator with an initial value at `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            value: initial,
-            integral: 0.0,
-            start,
-            peak: initial,
-        }
-    }
-
-    /// Records that the quantity changed to `value` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `now` precedes the previous update.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_time, "time went backwards");
-        self.integral += self.value * now.saturating_since(self.last_time).as_secs_f64();
-        self.last_time = now;
-        self.value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Adds `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current (most recently set) value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value ever set.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// The time-weighted average over `[start, now]`; zero for an empty
-    /// interval.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.saturating_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.value;
-        }
-        let tail = self.value * now.saturating_since(self.last_time).as_secs_f64();
-        (self.integral + tail) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,35 +348,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(0.0, 1000.0, 100);
-        for i in 0..1000 {
-            h.add(i as f64);
-        }
-        let p50 = h.percentile(50.0).unwrap();
-        assert!((p50 - 500.0).abs() < 20.0, "{p50}");
-        let p99 = h.percentile(99.0).unwrap();
-        assert!((p99 - 990.0).abs() < 20.0, "{p99}");
-    }
-
-    #[test]
-    fn histogram_overflow_and_underflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.add(-5.0);
-        h.add(100.0);
-        h.add(5.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.percentile(1.0), Some(0.0)); // underflow clamps to lo
-        assert_eq!(h.percentile(100.0), Some(10.0)); // overflow clamps to hi
-    }
-
-    #[test]
-    fn histogram_empty_returns_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.percentile(50.0), None);
     }
 
     #[test]
@@ -620,25 +425,5 @@ mod tests {
     #[test]
     fn log_histogram_empty_percentile_is_none() {
         assert_eq!(LogHistogram::latency().percentile(50.0), None);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 2.0);
-        w.set(SimTime::from_secs(2), 6.0); // 2.0 for 2s
-        w.set(SimTime::from_secs(3), 0.0); // 6.0 for 1s
-                                           // total integral 2*2 + 6*1 = 10 over 5s -> 2.0
-        assert!((w.average(SimTime::from_secs(5)) - 2.0).abs() < 1e-12);
-        assert_eq!(w.peak(), 6.0);
-        assert_eq!(w.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_add_tracks_deltas() {
-        let mut w = TimeWeighted::new(SimTime::ZERO, 0.0);
-        w.add(SimTime::from_secs(1), 3.0);
-        w.add(SimTime::from_secs(2), -1.0);
-        assert_eq!(w.current(), 2.0);
-        assert_eq!(w.peak(), 3.0);
     }
 }

@@ -1,8 +1,6 @@
 //! Property tests for the simulation substrate.
 
-use event_sim::{
-    EventQueue, Histogram, LogHistogram, OnlineStats, SimDuration, SimTime, SplitMix64,
-};
+use event_sim::{EventQueue, LogHistogram, OnlineStats, SimDuration, SimTime, SplitMix64};
 use proptest::prelude::*;
 
 proptest! {
@@ -126,21 +124,6 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
-    }
-
-    /// Histogram percentiles are monotone in p.
-    #[test]
-    fn histogram_percentiles_monotone(xs in prop::collection::vec(0.0f64..100.0, 1..200)) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs {
-            h.add(x);
-        }
-        let mut last = f64::NEG_INFINITY;
-        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0] {
-            let v = h.percentile(p).unwrap();
-            prop_assert!(v >= last, "percentile not monotone at p={p}");
-            last = v;
-        }
     }
 
     /// round_up lands on a multiple at or after the input.
