@@ -14,7 +14,8 @@ pub use experiments::Scale;
 /// `BENCH_core.json` baseline: the kernel hot paths this repo
 /// optimises — event-queue churn and same-instant bursts, scheduler
 /// picks and steals, booting and running a 512-CPU machine, the
-/// page-fault path and the buffer cache's write-behind cycle.
+/// page-fault path, the buffer cache's write-behind cycle and the
+/// export renderers.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
     use event_sim::{EventQueue, SimDuration, SimTime};
@@ -310,6 +311,25 @@ pub mod micro_targets {
                     }
                 }
                 black_box(flushed)
+            })
+        });
+    }
+
+    /// The export layer: [`smp_kernel::metrics_jsonl`] plus
+    /// [`smp_kernel::interference_matrix_json`], the two renderers
+    /// simbench's `export.render` times, on the metrics of the quick
+    /// instrumented lock-leakage run (attribution, SLO tracker and 10 ms
+    /// sampling on: 133 KiB of JSONL). The run is simulated once,
+    /// untimed.
+    pub fn bench_export(c: &mut Criterion) {
+        let metrics = experiments::lock_leakage::run_instrumented(crate::Scale::Quick).metrics;
+        c.bench_function("export/metrics_jsonl", |b| {
+            b.iter(|| {
+                let mut out = smp_kernel::metrics_jsonl(black_box(&metrics));
+                out.push_str(&smp_kernel::interference_matrix_json(
+                    metrics.interference(),
+                ));
+                out
             })
         });
     }
