@@ -9,7 +9,7 @@ use spu_core::{CpuPartition, ResourceKind, SpuId};
 
 use crate::kernel::Kernel;
 use crate::obsv::ResourceSample;
-use crate::process::{MicroOp, ProcState};
+use crate::process::ProcState;
 use crate::program::Program;
 use crate::trace::TraceEvent;
 
@@ -362,23 +362,7 @@ impl Kernel {
             attr.forget(pid, spu, self.now);
         }
         for w in self.locks.release_all(pid) {
-            if let Some(attr) = self.attribution.as_mut() {
-                if let Some(&MicroOp::LockAcquire { lock, .. }) = self.procs.get(w).micro_front() {
-                    let waiter_spu = self.procs.get(w).spu;
-                    attr.lock_granted(w, waiter_spu, lock, spu, self.now);
-                    self.trace.push(TraceEvent::LockGrant {
-                        at: self.now,
-                        pid: w,
-                        lock,
-                        holder: spu,
-                    });
-                }
-            }
-            let wp = self.procs.get_mut(w);
-            if matches!(wp.micro_front(), Some(MicroOp::LockAcquire { .. })) {
-                wp.pop_micro();
-            }
-            self.make_ready(w);
+            self.grant_lock(w, spu);
         }
         self.exit_process(pid, true);
         self.fill_idle_cpus();
