@@ -85,6 +85,67 @@ fn retries_are_bounded_and_failures_surface_to_process() {
     );
 }
 
+/// Gives up requests of every kind on a machine under memory pressure,
+/// on 2 CPUs, 4 MB and 2 disks. One SPU runs a toucher that sweeps more
+/// pages than its share, so its faults write pages back and swap them
+/// in; the other runs a writer, whose dirty blocks the flusher writes
+/// and whose metadata writes it waits on, and a reader, whose misses and
+/// read-ahead fill the cache. Both disks fail far more requests than the
+/// retry budget absorbs. Every given-up request must retire like a
+/// completed one: the run completes, and no frame is left pinned that no
+/// outstanding request holds, nor the other way round
+/// (`Kernel::check_invariants`).
+///
+/// Skipping the unpin of a flushed frame fails this test. Skipping a
+/// swap-in's unpin does not: the toucher's exit frees its frames, pins
+/// included, before the run ends.
+#[test]
+fn given_up_requests_of_every_kind_release_their_frames() {
+    let plan = (0..2).fold(FaultPlan::new(), |plan, disk| {
+        plan.at(
+            SimTime::ZERO,
+            FaultKind::DiskTransientErrors { disk, count: 5_000 },
+        )
+    });
+    let cfg = MachineConfig::builder()
+        .topology(2, 4, 2)
+        .scheme(Scheme::PIso)
+        .fault_plan(plan)
+        .build()
+        .unwrap();
+    let mut k = Kernel::new(cfg, SpuSet::equal_users(2));
+    // 4 MB is 1,024 frames; each SPU is entitled to under half.
+    let toucher = Program::builder("toucher")
+        .alloc(700)
+        .compute(ms(400), 700)
+        .build();
+    let out = k.create_file(1, 256 * 1024, 0);
+    let writer = Program::builder("writer")
+        .write(out, 0, 256 * 1024)
+        .meta_write(out)
+        .build();
+    let input = k.create_file(0, 512 * 1024, 0);
+    k.spawn_at(SpuId::user(0), toucher, Some("toucher"), SimTime::ZERO);
+    k.spawn_at(SpuId::user(1), writer, Some("writer"), SimTime::ZERO);
+    k.spawn_at(
+        SpuId::user(1),
+        reader(input, 512),
+        Some("reader"),
+        SimTime::ZERO,
+    );
+    let m = k.run(secs(600));
+    assert!(m.completed, "run must complete when requests are given up");
+    let c = &m.obsv.counters;
+    assert!(c.get("fault.io_failures") > 0, "budget must be exhausted");
+    assert_eq!(
+        c.get("fault.disk_errors"),
+        c.get("fault.io_retries") + c.get("fault.io_failures"),
+        "every error is either retried or failed"
+    );
+    assert_eq!(k.auditor().violation_count(), 0, "ledger audit violations");
+    k.check_invariants();
+}
+
 #[test]
 fn errored_requests_stay_out_of_service_histogram() {
     let faulty = run_reader_with_plan(FaultPlan::new().at(
