@@ -12,7 +12,7 @@ use spu_core::{BandwidthTracker, SpuId};
 
 use crate::model::{DiskModel, ServiceBreakdown};
 use crate::request::{DiskRequest, RequestId};
-use crate::sched::{pick_next, Pending, SchedulerKind};
+use crate::sched::{DiskQueue, Pending, SchedulerKind};
 use crate::stats::DiskStats;
 
 /// Notice that the in-flight request will finish at `at`; the kernel
@@ -27,6 +27,7 @@ pub struct Completion {
 
 #[derive(Debug)]
 struct InFlight {
+    id: RequestId,
     req: DiskRequest,
     breakdown: ServiceBreakdown,
     finish: SimTime,
@@ -46,6 +47,13 @@ pub struct CompletedRequest {
 }
 
 /// A disk with a request queue, scheduler, and bandwidth accounting.
+///
+/// The queue keeps one FIFO per stream in submission order. Each time
+/// the disk frees up, the scheduler picks from it: Pos reads every
+/// queued request's start sector; Iso reads each stream's oldest
+/// request and its normalized usage; PIso reads each stream's usage
+/// once, then the start sectors of the streams that pass the fairness
+/// criterion, or, when none passes, each stream's oldest request.
 ///
 /// The paper's defaults: 500 ms bandwidth-count half-life, BW-difference
 /// threshold of 64 sectors; both configurable via
@@ -82,7 +90,7 @@ pub struct CompletedRequest {
 pub struct DiskDevice {
     model: DiskModel,
     sched: SchedulerKind,
-    queue: Vec<Pending>,
+    queue: DiskQueue,
     in_flight: Option<InFlight>,
     head_cyl: u32,
     bw: BandwidthTracker,
@@ -114,7 +122,7 @@ impl DiskDevice {
         DiskDevice {
             model,
             sched,
-            queue: Vec::new(),
+            queue: DiskQueue::new(spu_count),
             in_flight: None,
             head_cyl: 0,
             bw: BandwidthTracker::new(spu_count, SimDuration::from_millis(500)),
@@ -223,6 +231,11 @@ impl DiskDevice {
     /// starts service immediately and its [`Completion`] is returned;
     /// otherwise it queues and `None` is returned (a completion for it
     /// will surface from a later [`complete`](Self::complete) call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request's stream is outside the device's
+    /// `spu_count` streams.
     pub fn submit(&mut self, req: DiskRequest, now: SimTime) -> Option<Completion> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -282,18 +295,40 @@ impl DiskDevice {
         )
     }
 
+    /// Every outstanding request: the queued ones, stream by stream, then
+    /// the one in service.
+    pub fn outstanding(&self) -> impl Iterator<Item = &DiskRequest> {
+        self.queue
+            .iter()
+            .map(|p| &p.req)
+            .chain(self.in_flight.as_ref().map(|f| &f.req))
+    }
+
+    /// Asserts the queue's invariants: its request count and user-request
+    /// count equal a recount, every queued request sits in its own
+    /// stream's FIFO, submission order ascends within each FIFO, and the
+    /// request in service is not also queued.
+    pub fn check_invariants(&self) {
+        self.queue.check_invariants();
+        if let Some(fin) = &self.in_flight {
+            assert!(
+                self.queue.iter().all(|p| p.seq != fin.id.0),
+                "request {} is both in service and queued",
+                fin.id.0
+            );
+        }
+    }
+
     /// Starts the scheduler-chosen queued request, if any.
     fn start_next(&mut self, now: SimTime) -> Option<Completion> {
-        let idx = pick_next(
+        let pending = self.queue.take_next(
             self.sched,
-            &self.queue,
             &self.model,
             self.head_cyl,
             &mut self.bw,
             self.bw_threshold,
             now,
         )?;
-        let pending = self.queue.swap_remove(idx);
         let mut breakdown =
             self.model
                 .service(now, self.head_cyl, pending.req.start, pending.req.sectors);
@@ -329,6 +364,7 @@ impl DiskDevice {
             }
         }
         self.in_flight = Some(InFlight {
+            id,
             req: pending.req,
             breakdown,
             finish,

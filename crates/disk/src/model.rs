@@ -131,6 +131,12 @@ impl DiskModel {
         (sector / (self.heads as u64 * self.sectors_per_track as u64)) as u32
     }
 
+    /// The first sector of cylinder `cyl`: a sector lies on `cyl` or
+    /// beyond exactly when it is at least this.
+    pub fn first_sector_of(&self, cyl: u32) -> u64 {
+        cyl as u64 * self.heads as u64 * self.sectors_per_track as u64
+    }
+
     /// Seek time between two cylinders (includes seek scaling). Zero for
     /// a same-cylinder "seek".
     pub fn seek_time(&self, from_cyl: u32, to_cyl: u32) -> SimDuration {
@@ -206,6 +212,18 @@ mod tests {
         assert_eq!(m.cylinder_of(0), 0);
         assert_eq!(m.cylinder_of(19 * 72), 1);
         assert_eq!(m.cylinder_of(m.total_sectors() - 1), 1961);
+    }
+
+    #[test]
+    fn first_sector_of_bounds_every_cylinder() {
+        let m = DiskModel::hp97560();
+        for c in 0..m.cylinders() {
+            let first = m.first_sector_of(c);
+            assert_eq!(m.cylinder_of(first), c);
+            if c > 0 {
+                assert_eq!(m.cylinder_of(first - 1), c - 1);
+            }
+        }
     }
 
     #[test]

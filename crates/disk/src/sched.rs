@@ -9,9 +9,21 @@
 //!   isolation and the head position when scheduling requests" — C-SCAN
 //!   order over the SPUs that currently pass the bandwidth-fairness
 //!   criterion.
+//!
+//! A device's queued requests live in a `DiskQueue`: one FIFO per
+//! stream, in submission order. A pick reads only what its policy
+//! needs. A fairness pick (Iso, and PIso's fallback when every queued
+//! user SPU fails the criterion) reads each non-empty stream's front,
+//! its oldest request: one normalized usage per stream, not one per
+//! request. PIso decides eligibility once per stream, then C-SCANs the
+//! eligible streams' requests; Pos C-SCANs every request. C-SCAN
+//! compares each start sector with the first sector of the head's
+//! cylinder, so it never divides a sector into a cylinder.
+
+use std::collections::VecDeque;
 
 use event_sim::SimTime;
-use spu_core::BandwidthTracker;
+use spu_core::{BandwidthTracker, SpuId};
 
 use crate::model::DiskModel;
 use crate::request::DiskRequest;
@@ -62,115 +74,205 @@ pub(crate) struct Pending {
     pub(crate) req: DiskRequest,
 }
 
-/// Picks the index of the next request to service, or `None` if the queue
-/// is empty.
+/// A device's queued requests: one FIFO per stream, indexed by
+/// [`SpuId::index`], each in submission (`seq`) order, plus the counts
+/// of queued requests and of queued user requests.
 ///
-/// `bw_threshold` is the BW-difference threshold of §3.3 in sectors.
-pub(crate) fn pick_next(
-    kind: SchedulerKind,
-    queue: &[Pending],
-    model: &DiskModel,
-    head_cyl: u32,
-    bw: &mut BandwidthTracker,
-    bw_threshold: f64,
-    now: SimTime,
-) -> Option<usize> {
-    if queue.is_empty() {
-        return None;
+/// A request leaves its FIFO by an order-keeping remove, so a stream's
+/// front is always its oldest request.
+#[derive(Debug)]
+pub(crate) struct DiskQueue {
+    streams: Vec<VecDeque<Pending>>,
+    len: usize,
+    users: usize,
+}
+
+impl DiskQueue {
+    /// An empty queue for `stream_count` streams.
+    pub(crate) fn new(stream_count: usize) -> Self {
+        DiskQueue {
+            streams: (0..stream_count).map(|_| VecDeque::new()).collect(),
+            len: 0,
+            users: 0,
+        }
     }
-    // Single-request fast path: every policy picks the lone request —
-    // eligibility only reorders, never denies service outright. (Eliding
-    // fair_pick's decay here is exact: decay advances in whole half-life
-    // steps by a power-of-two factor, so deferring it composes to the
-    // same counts.)
-    if queue.len() == 1 {
-        return Some(0);
+
+    /// Number of queued requests.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
-    match kind {
-        SchedulerKind::HeadPosition => cscan_pick(queue, model, head_cyl, |_| true),
-        SchedulerKind::BlindFair => fair_pick(queue, bw, now),
-        SchedulerKind::Hybrid => {
-            // Shared-SPU requests have the lowest priority: they are only
-            // eligible when no user request is queued.
-            let any_user = queue.iter().any(|p| p.req.stream.is_user());
-            // An SPU failing the fairness criterion (§3.3) is denied
-            // access while other SPUs have queued requests. One decay and
-            // one average serve every verdict: decay advances in whole
-            // half-life steps, so calling it again at the same instant
-            // would change nothing.
-            bw.decay_to(now);
-            let limit = bw.average_normalized() + bw_threshold;
-            let tracker = &*bw;
-            let eligible = |i: usize| -> bool {
-                let stream = queue[i].req.stream;
-                if !stream.is_user() {
-                    return !any_user;
+
+    /// Every queued request, stream by stream.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Pending> {
+        self.streams.iter().flatten()
+    }
+
+    /// Queues `p` behind its stream's earlier requests. `p.seq` must be
+    /// above every queued one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request's stream is outside the queue's streams.
+    pub(crate) fn push(&mut self, p: Pending) {
+        self.users += usize::from(p.req.stream.is_user());
+        self.len += 1;
+        self.streams[p.req.stream.index()].push_back(p);
+    }
+
+    /// Picks the next request to service and takes it out of the queue,
+    /// or returns `None` if the queue is empty.
+    ///
+    /// `bw_threshold` is the BW-difference threshold of §3.3 in sectors.
+    pub(crate) fn take_next(
+        &mut self,
+        kind: SchedulerKind,
+        model: &DiskModel,
+        head_cyl: u32,
+        bw: &mut BandwidthTracker,
+        bw_threshold: f64,
+        now: SimTime,
+    ) -> Option<Pending> {
+        let (stream, pos) = match self.len {
+            0 => return None,
+            // Single-request fast path: every policy picks the lone
+            // request — eligibility only reorders, never denies service
+            // outright. (Eliding fair_pick's decay here is exact: decay
+            // advances in whole half-life steps by a power-of-two factor,
+            // so deferring it composes to the same counts.)
+            1 => {
+                let stream = self.streams.iter().position(|q| !q.is_empty());
+                (stream.expect("one request is queued"), 0)
+            }
+            _ => match kind {
+                SchedulerKind::HeadPosition => self.cscan_pick(model, head_cyl, |_| true)?,
+                SchedulerKind::BlindFair => self.fair_pick(bw, now)?,
+                SchedulerKind::Hybrid => {
+                    // An SPU failing the fairness criterion (§3.3) is
+                    // denied access while other SPUs have queued requests;
+                    // shared-SPU requests have the lowest priority: they
+                    // are only eligible when no user request is queued.
+                    // One decay and one average serve every verdict: decay
+                    // advances in whole half-life steps, so calling it
+                    // again at the same instant would change nothing.
+                    bw.decay_to(now);
+                    let limit = bw.average_normalized() + bw_threshold;
+                    let any_user = self.users > 0;
+                    let tracker = &*bw;
+                    let scan = self.cscan_pick(model, head_cyl, |stream| {
+                        if stream.is_user() {
+                            tracker.normalized_usage(stream) <= limit
+                        } else {
+                            !any_user
+                        }
+                    });
+                    // No stream eligible means every queued user SPU
+                    // fails: fall back to fairness order among them so
+                    // the least-over SPU goes first. (With no user
+                    // request queued, every request is eligible.)
+                    match scan {
+                        Some(at) => at,
+                        None => self.fair_pick(bw, now)?,
+                    }
                 }
-                tracker.normalized_usage(stream) <= limit
-            };
-            if (0..queue.len()).any(eligible) {
-                cscan_pick(queue, model, head_cyl, eligible)
-            } else if any_user {
-                // Every queued user SPU fails (or only failing SPUs have
-                // requests): fall back to fairness order among them so the
-                // least-over SPU goes first.
-                fair_pick(queue, bw, now)
-            } else {
-                // Only shared/kernel requests queued.
-                cscan_pick(queue, model, head_cyl, |_| true)
-            }
-        }
-    }
-}
-
-/// C-SCAN: the request with the smallest starting sector at or after the
-/// head's cylinder; wraps to the smallest sector overall when the sweep
-/// passes the end. Ties broken by submission order.
-fn cscan_pick(
-    queue: &[Pending],
-    model: &DiskModel,
-    head_cyl: u32,
-    eligible: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    let mut ahead: Option<(u64, u64, usize)> = None; // (start, seq, idx)
-    let mut wrap: Option<(u64, u64, usize)> = None;
-    for (i, p) in queue.iter().enumerate() {
-        if !eligible(i) {
-            continue;
-        }
-        let key = (p.req.start, p.seq, i);
-        if model.cylinder_of(p.req.start) >= head_cyl {
-            if ahead.is_none_or(|best| key < best) {
-                ahead = Some(key);
-            }
-        } else if wrap.is_none_or(|best| key < best) {
-            wrap = Some(key);
-        }
-    }
-    ahead.or(wrap).map(|(_, _, i)| i)
-}
-
-/// Fairness-only: the request whose stream has the lowest normalized
-/// bandwidth usage; shared/kernel streams are served only when no user
-/// request is queued. Ties broken FIFO.
-fn fair_pick(queue: &[Pending], bw: &mut BandwidthTracker, now: SimTime) -> Option<usize> {
-    bw.decay_to(now);
-    let any_user = queue.iter().any(|p| p.req.stream.is_user());
-    let mut best: Option<(f64, u64, usize)> = None;
-    for (i, p) in queue.iter().enumerate() {
-        if any_user && !p.req.stream.is_user() {
-            continue;
-        }
-        let usage = bw.normalized_usage(p.req.stream);
-        let better = match best {
-            None => true,
-            Some((bu, bseq, _)) => usage < bu || (usage == bu && p.seq < bseq),
+            },
         };
-        if better {
-            best = Some((usage, p.seq, i));
-        }
+        let p = self.streams[stream]
+            .remove(pos)
+            .expect("the pick names a queued request");
+        self.len -= 1;
+        self.users -= usize::from(p.req.stream.is_user());
+        Some(p)
     }
-    best.map(|(_, _, i)| i)
+
+    /// C-SCAN over the streams `eligible` admits: the request with the
+    /// smallest starting sector at or after the head's cylinder; wraps to
+    /// the smallest sector overall when the sweep passes the end. Ties
+    /// broken by submission order. Returns the pick's stream and position.
+    fn cscan_pick(
+        &self,
+        model: &DiskModel,
+        head_cyl: u32,
+        eligible: impl Fn(SpuId) -> bool,
+    ) -> Option<(usize, usize)> {
+        // A sector lies on the head's cylinder or beyond exactly when it
+        // is at least the cylinder's first sector.
+        let first = model.first_sector_of(head_cyl);
+        let mut ahead: Option<(u64, u64, usize, usize)> = None; // (start, seq, stream, pos)
+        let mut wrap: Option<(u64, u64, usize, usize)> = None;
+        for (s, q) in self.streams.iter().enumerate() {
+            match q.front() {
+                Some(p) if eligible(p.req.stream) => {}
+                _ => continue,
+            }
+            for (i, p) in q.iter().enumerate() {
+                let key = (p.req.start, p.seq, s, i);
+                let best = if p.req.start >= first {
+                    &mut ahead
+                } else {
+                    &mut wrap
+                };
+                if best.is_none_or(|b| key < b) {
+                    *best = Some(key);
+                }
+            }
+        }
+        ahead.or(wrap).map(|(_, _, s, i)| (s, i))
+    }
+
+    /// Fairness-only: the oldest request of the stream with the lowest
+    /// normalized bandwidth usage; shared/kernel streams are served only
+    /// when no user request is queued. A stream's front is its oldest
+    /// request, so reading the fronts alone breaks ties FIFO, as a scan
+    /// of every request would. Returns the pick's stream and position.
+    fn fair_pick(&self, bw: &mut BandwidthTracker, now: SimTime) -> Option<(usize, usize)> {
+        bw.decay_to(now);
+        let any_user = self.users > 0;
+        let mut best: Option<(f64, u64, usize)> = None; // (usage, seq, stream)
+        for (s, q) in self.streams.iter().enumerate() {
+            let Some(p) = q.front() else { continue };
+            if any_user && !p.req.stream.is_user() {
+                continue;
+            }
+            let usage = bw.normalized_usage(p.req.stream);
+            let better = match best {
+                None => true,
+                Some((bu, bseq, _)) => usage < bu || (usage == bu && p.seq < bseq),
+            };
+            if better {
+                best = Some((usage, p.seq, s));
+            }
+        }
+        best.map(|(_, _, s)| (s, 0))
+    }
+
+    /// Asserts the queue's shape: both counts equal a recount, every
+    /// request sits in its own stream's FIFO, and `seq` ascends within
+    /// each FIFO.
+    pub(crate) fn check_invariants(&self) {
+        let mut len = 0;
+        let mut users = 0;
+        for (s, q) in self.streams.iter().enumerate() {
+            for (i, p) in q.iter().enumerate() {
+                assert_eq!(
+                    p.req.stream.index(),
+                    s,
+                    "request {} of {} queued under stream {s}",
+                    p.seq,
+                    p.req.stream
+                );
+                assert!(
+                    i == 0 || q[i - 1].seq < p.seq,
+                    "stream {s} queues request {} behind {}",
+                    p.seq,
+                    q[i - 1].seq
+                );
+                users += usize::from(p.req.stream.is_user());
+            }
+            len += q.len();
+        }
+        assert_eq!(self.len, len, "queued-request count vs a recount");
+        assert_eq!(self.users, users, "queued user-request count vs a recount");
+    }
 }
 
 #[cfg(test)]
@@ -178,7 +280,130 @@ mod tests {
     use super::*;
     use crate::request::RequestKind;
     use event_sim::SimDuration;
-    use spu_core::SpuId;
+    use proptest::prelude::*;
+
+    /// The flat-queue scheduler `DiskQueue` replaced, verbatim: every
+    /// pick scans every queued request, and each C-SCAN request's
+    /// cylinder is a division. It is the reference the per-stream pick
+    /// must match.
+    mod reference {
+        use event_sim::SimTime;
+        use spu_core::BandwidthTracker;
+
+        use crate::model::DiskModel;
+        use crate::sched::{Pending, SchedulerKind};
+
+        /// Picks the index of the next request to service, or `None` if the queue
+        /// is empty.
+        ///
+        /// `bw_threshold` is the BW-difference threshold of §3.3 in sectors.
+        pub(crate) fn pick_next(
+            kind: SchedulerKind,
+            queue: &[Pending],
+            model: &DiskModel,
+            head_cyl: u32,
+            bw: &mut BandwidthTracker,
+            bw_threshold: f64,
+            now: SimTime,
+        ) -> Option<usize> {
+            if queue.is_empty() {
+                return None;
+            }
+            // Single-request fast path: every policy picks the lone request —
+            // eligibility only reorders, never denies service outright. (Eliding
+            // fair_pick's decay here is exact: decay advances in whole half-life
+            // steps by a power-of-two factor, so deferring it composes to the
+            // same counts.)
+            if queue.len() == 1 {
+                return Some(0);
+            }
+            match kind {
+                SchedulerKind::HeadPosition => cscan_pick(queue, model, head_cyl, |_| true),
+                SchedulerKind::BlindFair => fair_pick(queue, bw, now),
+                SchedulerKind::Hybrid => {
+                    // Shared-SPU requests have the lowest priority: they are only
+                    // eligible when no user request is queued.
+                    let any_user = queue.iter().any(|p| p.req.stream.is_user());
+                    // An SPU failing the fairness criterion (§3.3) is denied
+                    // access while other SPUs have queued requests. One decay and
+                    // one average serve every verdict: decay advances in whole
+                    // half-life steps, so calling it again at the same instant
+                    // would change nothing.
+                    bw.decay_to(now);
+                    let limit = bw.average_normalized() + bw_threshold;
+                    let tracker = &*bw;
+                    let eligible = |i: usize| -> bool {
+                        let stream = queue[i].req.stream;
+                        if !stream.is_user() {
+                            return !any_user;
+                        }
+                        tracker.normalized_usage(stream) <= limit
+                    };
+                    if (0..queue.len()).any(eligible) {
+                        cscan_pick(queue, model, head_cyl, eligible)
+                    } else if any_user {
+                        // Every queued user SPU fails (or only failing SPUs have
+                        // requests): fall back to fairness order among them so the
+                        // least-over SPU goes first.
+                        fair_pick(queue, bw, now)
+                    } else {
+                        // Only shared/kernel requests queued.
+                        cscan_pick(queue, model, head_cyl, |_| true)
+                    }
+                }
+            }
+        }
+
+        /// C-SCAN: the request with the smallest starting sector at or after the
+        /// head's cylinder; wraps to the smallest sector overall when the sweep
+        /// passes the end. Ties broken by submission order.
+        fn cscan_pick(
+            queue: &[Pending],
+            model: &DiskModel,
+            head_cyl: u32,
+            eligible: impl Fn(usize) -> bool,
+        ) -> Option<usize> {
+            let mut ahead: Option<(u64, u64, usize)> = None; // (start, seq, idx)
+            let mut wrap: Option<(u64, u64, usize)> = None;
+            for (i, p) in queue.iter().enumerate() {
+                if !eligible(i) {
+                    continue;
+                }
+                let key = (p.req.start, p.seq, i);
+                if model.cylinder_of(p.req.start) >= head_cyl {
+                    if ahead.is_none_or(|best| key < best) {
+                        ahead = Some(key);
+                    }
+                } else if wrap.is_none_or(|best| key < best) {
+                    wrap = Some(key);
+                }
+            }
+            ahead.or(wrap).map(|(_, _, i)| i)
+        }
+
+        /// Fairness-only: the request whose stream has the lowest normalized
+        /// bandwidth usage; shared/kernel streams are served only when no user
+        /// request is queued. Ties broken FIFO.
+        fn fair_pick(queue: &[Pending], bw: &mut BandwidthTracker, now: SimTime) -> Option<usize> {
+            bw.decay_to(now);
+            let any_user = queue.iter().any(|p| p.req.stream.is_user());
+            let mut best: Option<(f64, u64, usize)> = None;
+            for (i, p) in queue.iter().enumerate() {
+                if any_user && !p.req.stream.is_user() {
+                    continue;
+                }
+                let usage = bw.normalized_usage(p.req.stream);
+                let better = match best {
+                    None => true,
+                    Some((bu, bseq, _)) => usage < bu || (usage == bu && p.seq < bseq),
+                };
+                if better {
+                    best = Some((usage, p.seq, i));
+                }
+            }
+            best.map(|(_, _, i)| i)
+        }
+    }
 
     fn pending(seq: u64, stream: SpuId, start: u64) -> Pending {
         Pending {
@@ -196,6 +421,30 @@ mod tests {
         cyl as u64 * 19 * 72
     }
 
+    /// Queues `requests` (each stream's in submission order) and takes
+    /// one pick at a 64-sector threshold; returns the pick's `seq`.
+    fn pick(
+        kind: SchedulerKind,
+        requests: &[Pending],
+        head_cyl: u32,
+        bw: &mut BandwidthTracker,
+    ) -> Option<u64> {
+        let mut queue = DiskQueue::new(bw.stream_count());
+        for p in requests {
+            queue.push(p.clone());
+        }
+        let picked = queue.take_next(
+            kind,
+            &DiskModel::hp97560(),
+            head_cyl,
+            bw,
+            64.0,
+            SimTime::ZERO,
+        );
+        queue.check_invariants();
+        picked.map(|p| p.seq)
+    }
+
     #[test]
     fn cscan_services_ahead_of_head_first() {
         let model = DiskModel::hp97560();
@@ -206,69 +455,43 @@ mod tests {
         ];
         // Head at cylinder 200: next is 300, then 500, then wrap to 100.
         let mut bw = tracker();
-        let pick = |q: &[Pending], head: u32, bw: &mut BandwidthTracker| {
-            pick_next(
-                SchedulerKind::HeadPosition,
-                q,
-                &model,
-                head,
-                bw,
-                64.0,
-                SimTime::ZERO,
-            )
-            .unwrap()
-        };
-        assert_eq!(pick(&queue, 200, &mut bw), 2);
-        assert_eq!(pick(&queue, 301, &mut bw), 1);
-        assert_eq!(pick(&queue, 501, &mut bw), 0); // wrap-around
+        let kind = SchedulerKind::HeadPosition;
+        assert_eq!(pick(kind, &queue, 200, &mut bw), Some(2));
+        assert_eq!(pick(kind, &queue, 301, &mut bw), Some(1));
+        assert_eq!(pick(kind, &queue, 501, &mut bw), Some(0)); // wrap-around
     }
 
     #[test]
     fn cscan_ties_are_fifo() {
-        let model = DiskModel::hp97560();
         let queue = vec![
             pending(5, SpuId::user(0), 1000),
             pending(3, SpuId::user(1), 1000),
         ];
         let mut bw = tracker();
-        let i = pick_next(
-            SchedulerKind::HeadPosition,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(i, 1, "earlier submission wins the tie");
+        assert_eq!(
+            pick(SchedulerKind::HeadPosition, &queue, 0, &mut bw),
+            Some(3),
+            "earlier submission wins the tie"
+        );
     }
 
     #[test]
     fn blind_fair_picks_least_served_stream() {
-        let model = DiskModel::hp97560();
         let mut bw = tracker();
         bw.charge(SpuId::user(0), 1000, SimTime::ZERO);
         let queue = vec![
             pending(0, SpuId::user(0), 0), // closest to head
             pending(1, SpuId::user(1), 2_000_000),
         ];
-        let i = pick_next(
-            SchedulerKind::BlindFair,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(i, 1, "fairness ignores head position");
+        assert_eq!(
+            pick(SchedulerKind::BlindFair, &queue, 0, &mut bw),
+            Some(1),
+            "fairness ignores head position"
+        );
     }
 
     #[test]
     fn hybrid_skips_failing_spu_but_keeps_scan_order() {
-        let model = DiskModel::hp97560();
         let mut bw = tracker();
         bw.charge(SpuId::user(0), 100_000, SimTime::ZERO); // hog
         let queue = vec![
@@ -276,84 +499,45 @@ mod tests {
             pending(1, SpuId::user(1), 2_000_000),
             pending(2, SpuId::user(1), 1_000_000),
         ];
-        let i = pick_next(
-            SchedulerKind::Hybrid,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(i, 2, "hog denied; C-SCAN among the passing SPU's requests");
+        assert_eq!(
+            pick(SchedulerKind::Hybrid, &queue, 0, &mut bw),
+            Some(2),
+            "hog denied; C-SCAN among the passing SPU's requests"
+        );
     }
 
     #[test]
     fn hybrid_serves_hog_when_alone() {
-        let model = DiskModel::hp97560();
         let mut bw = tracker();
         bw.charge(SpuId::user(0), 100_000, SimTime::ZERO);
         let queue = vec![pending(0, SpuId::user(0), 100)];
         // Alone on the disk, the SPU cannot fail the criterion (its usage
         // IS the average) — sharing happens naturally.
-        let i = pick_next(
-            SchedulerKind::Hybrid,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        );
-        assert_eq!(i, Some(0));
+        assert_eq!(pick(SchedulerKind::Hybrid, &queue, 0, &mut bw), Some(0));
     }
 
     #[test]
     fn hybrid_shared_writes_have_lowest_priority() {
-        let model = DiskModel::hp97560();
         let mut bw = tracker();
         let queue = vec![
             pending(0, SpuId::SHARED, 0),
             pending(1, SpuId::user(1), 2_000_000),
         ];
-        let i = pick_next(
-            SchedulerKind::Hybrid,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        )
-        .unwrap();
         assert_eq!(
-            i, 1,
+            pick(SchedulerKind::Hybrid, &queue, 0, &mut bw),
+            Some(1),
             "user request beats shared write regardless of position"
         );
         // With only the shared request left, it is served.
         let queue = vec![pending(0, SpuId::SHARED, 0)];
-        let i = pick_next(
-            SchedulerKind::Hybrid,
-            &queue,
-            &model,
-            0,
-            &mut bw,
-            64.0,
-            SimTime::ZERO,
-        );
-        assert_eq!(i, Some(0));
+        assert_eq!(pick(SchedulerKind::Hybrid, &queue, 0, &mut bw), Some(0));
     }
 
     #[test]
     fn empty_queue_returns_none() {
-        let model = DiskModel::hp97560();
         let mut bw = tracker();
         for kind in SchedulerKind::ALL {
-            assert_eq!(
-                pick_next(kind, &[], &model, 0, &mut bw, 64.0, SimTime::ZERO),
-                None
-            );
+            assert_eq!(pick(kind, &[], 0, &mut bw), None);
         }
     }
 
@@ -362,5 +546,293 @@ mod tests {
         assert_eq!(SchedulerKind::HeadPosition.label(), "Pos");
         assert_eq!(SchedulerKind::BlindFair.label(), "Iso");
         assert_eq!(SchedulerKind::Hybrid.label(), "PIso");
+    }
+
+    /// Streams in a generated case: kernel, shared and five users.
+    const STREAMS: usize = 7;
+    /// Picks taken from each generated queue.
+    const PICKS: usize = 4;
+    const SECTORS_PER_CYLINDER: u64 = 19 * 72;
+    const THRESHOLDS: [f64; 3] = [0.0, 64.0, 1e9];
+
+    /// The stream with dense index `i` (kernel 0, shared 1, users after).
+    fn stream(i: usize) -> SpuId {
+        match i {
+            0 => SpuId::KERNEL,
+            1 => SpuId::SHARED,
+            n => SpuId::user(n as u32 - 2),
+        }
+    }
+
+    /// One generated scheduling situation.
+    #[derive(Debug)]
+    struct Case {
+        kind: SchedulerKind,
+        threshold: f64,
+        head_cyl: u32,
+        now: SimTime,
+        /// `(stream, start, sectors)` in submission order.
+        requests: Vec<(SpuId, u64, u32)>,
+        /// `(stream, sectors, at)`, ascending in `at`.
+        charges: Vec<(SpuId, u64, SimTime)>,
+        /// The share weight of each user stream.
+        shares: Vec<f64>,
+    }
+
+    /// 1–120 requests over the kernel, the shared and up to five user
+    /// streams (only the built-in two in a sixth of the cases). Half the
+    /// starts are the first sector of their cylinder, and the head sits
+    /// on a request's cylinder in about a quarter of the cases, so starts
+    /// land exactly on the head's first sector. Random charges, in time
+    /// order up to `now`, and random user shares set the usages.
+    fn case_strategy() -> impl Strategy<Value = Case> {
+        let total = DiskModel::hp97560().total_sectors();
+        (
+            (
+                0usize..3,
+                0usize..3,
+                0u64..3_000_000,
+                0u32..1962,
+                0usize..240,
+            ),
+            0usize..6,
+            prop::collection::vec(
+                (
+                    0usize..STREAMS,
+                    0u64..1962,
+                    0u64..SECTORS_PER_CYLINDER,
+                    any::<bool>(),
+                    1u32..=128,
+                ),
+                1..=120,
+            ),
+            prop::collection::vec((0usize..STREAMS, 0u64..4_000, 0u64..=1000), 0..12),
+            prop::collection::vec(0.25f64..4.0, STREAMS - 2),
+        )
+            .prop_map(
+                move |(
+                    (policy, threshold, now_us, head, head_on),
+                    users,
+                    reqs,
+                    charges,
+                    shares,
+                )| {
+                    let requests: Vec<(SpuId, u64, u32)> = reqs
+                        .into_iter()
+                        .map(|(s, cyl, offset, aligned, sectors)| {
+                            let start =
+                                cyl * SECTORS_PER_CYLINDER + if aligned { 0 } else { offset };
+                            (
+                                stream(s % (2 + users)),
+                                start.min(total - sectors as u64),
+                                sectors,
+                            )
+                        })
+                        .collect();
+                    let head_cyl = match requests.get(head_on) {
+                        Some(&(_, start, _)) => (start / SECTORS_PER_CYLINDER) as u32,
+                        None => head,
+                    };
+                    let now = SimTime::from_micros(now_us);
+                    let mut charges: Vec<(SpuId, u64, SimTime)> = charges
+                        .into_iter()
+                        .map(|(s, sectors, permille)| {
+                            (
+                                stream(s),
+                                sectors,
+                                SimTime::from_micros(now_us * permille / 1000),
+                            )
+                        })
+                        .collect();
+                    charges.sort_by_key(|&(_, _, at)| at);
+                    Case {
+                        kind: SchedulerKind::ALL[policy],
+                        threshold: THRESHOLDS[threshold],
+                        head_cyl,
+                        now,
+                        requests,
+                        charges,
+                        shares,
+                    }
+                },
+            )
+    }
+
+    /// Queues `case`'s requests in a `DiskQueue` and in the reference's
+    /// flat queue and takes up to [`PICKS`] picks from both, serving
+    /// each as the device would: the arm moves to the request's end, time
+    /// advances and the stream is charged. Each pick must take the
+    /// reference's request. `observe` sees the flat queue, the tracker,
+    /// the head and the time before each pick.
+    fn run_case(case: &Case, mut observe: impl FnMut(&[Pending], &BandwidthTracker, u32, SimTime)) {
+        let model = DiskModel::hp97560();
+        let mut bw = BandwidthTracker::new(STREAMS, SimDuration::from_millis(500));
+        for (i, &share) in case.shares.iter().enumerate() {
+            bw.set_share(SpuId::user(i as u32), share);
+        }
+        for &(spu, sectors, at) in &case.charges {
+            bw.charge(spu, sectors, at);
+        }
+        let mut flat: Vec<Pending> = case
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(seq, &(spu, start, sectors))| Pending {
+                seq: seq as u64,
+                submitted: SimTime::ZERO,
+                req: DiskRequest::new(spu, RequestKind::Read, start, sectors),
+            })
+            .collect();
+        let mut queue = DiskQueue::new(STREAMS);
+        for p in &flat {
+            queue.push(p.clone());
+        }
+        let mut ref_bw = bw.clone();
+        let (mut head, mut now) = (case.head_cyl, case.now);
+        for _ in 0..PICKS.min(flat.len()) {
+            observe(&flat, &ref_bw, head, now);
+            let i = reference::pick_next(
+                case.kind,
+                &flat,
+                &model,
+                head,
+                &mut ref_bw,
+                case.threshold,
+                now,
+            )
+            .expect("the reference picks from a non-empty queue");
+            let expected = flat.swap_remove(i);
+            let got = queue
+                .take_next(case.kind, &model, head, &mut bw, case.threshold, now)
+                .expect("the queue is not empty");
+            assert_eq!(got.seq, expected.seq, "{case:?}");
+            queue.check_invariants();
+            assert_eq!(queue.len(), flat.len());
+            head = model.cylinder_of(got.req.end().min(model.total_sectors() - 1));
+            now += SimDuration::from_millis(5 + got.seq % 20);
+            bw.charge(got.req.stream, got.req.sectors as u64, now);
+            ref_bw.charge(got.req.stream, got.req.sectors as u64, now);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Every policy picks from the per-stream queue exactly the
+        /// request the flat scan picks.
+        #[test]
+        fn per_stream_pick_matches_the_flat_scan(case in case_strategy()) {
+            run_case(&case, |_, _, _, _| {});
+        }
+    }
+
+    /// Paths one pick took, so a dedicated test can show the generator
+    /// reaches the branches the per-stream pick changes.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// Hybrid picks where every queued user SPU failed the criterion.
+        fallback: u32,
+        /// Hybrid C-SCANs that skipped a failing user SPU's requests.
+        skipped_stream: u32,
+        /// C-SCANs with no eligible request at or ahead of the head.
+        wrap: u32,
+        /// Fairness picks among streams of equal usage where the oldest
+        /// front is not in the lowest-indexed stream.
+        seq_tie: u32,
+        /// Queues of two or more requests, none a user's.
+        built_in_only: u32,
+    }
+
+    /// Records which paths the reference takes on `queue`.
+    fn classify(
+        case: &Case,
+        queue: &[Pending],
+        bw: &BandwidthTracker,
+        head_cyl: u32,
+        now: SimTime,
+        reached: &mut Reached,
+    ) {
+        if queue.len() < 2 {
+            return;
+        }
+        let model = DiskModel::hp97560();
+        let mut bw = bw.clone();
+        bw.decay_to(now);
+        let any_user = queue.iter().any(|p| p.req.stream.is_user());
+        if !any_user {
+            reached.built_in_only += 1;
+        }
+        let limit = bw.average_normalized() + case.threshold;
+        let passes =
+            |p: &&Pending| !p.req.stream.is_user() || bw.normalized_usage(p.req.stream) <= limit;
+        let eligible = |p: &&Pending| match case.kind {
+            SchedulerKind::HeadPosition => true,
+            SchedulerKind::BlindFair => false,
+            SchedulerKind::Hybrid => {
+                if p.req.stream.is_user() {
+                    passes(p)
+                } else {
+                    !any_user
+                }
+            }
+        };
+        if queue.iter().any(|p| eligible(&p)) {
+            if case.kind == SchedulerKind::Hybrid && !queue.iter().all(|p| passes(&p)) {
+                reached.skipped_stream += 1;
+            }
+            if queue
+                .iter()
+                .filter(eligible)
+                .all(|p| model.cylinder_of(p.req.start) < head_cyl)
+            {
+                reached.wrap += 1;
+            }
+            return;
+        }
+        if case.kind == SchedulerKind::Hybrid {
+            reached.fallback += 1;
+        }
+        // Each candidate stream's oldest request, by stream index.
+        let mut fronts: Vec<(usize, u64, f64)> = Vec::new();
+        for p in queue {
+            if any_user && !p.req.stream.is_user() {
+                continue;
+            }
+            let s = p.req.stream.index();
+            match fronts.iter_mut().find(|f| f.0 == s) {
+                Some(f) => f.1 = f.1.min(p.seq),
+                None => fronts.push((s, p.seq, bw.normalized_usage(p.req.stream))),
+            }
+        }
+        let least = fronts.iter().map(|f| f.2).fold(f64::INFINITY, f64::min);
+        let tied: Vec<_> = fronts.iter().filter(|f| f.2 == least).collect();
+        let by_seq = tied.iter().min_by_key(|f| f.1).map(|f| f.0);
+        let by_index = tied.iter().map(|f| f.0).min();
+        if tied.len() > 1 && by_seq != by_index {
+            reached.seq_tie += 1;
+        }
+    }
+
+    /// Guards the generator itself: cases must reach the Hybrid fallback,
+    /// a C-SCAN that skips a failing stream, a C-SCAN wrap, a fairness tie
+    /// the submission order decides, and a queue of built-in requests
+    /// only, or the property above would pass on the easy paths alone.
+    #[test]
+    fn generated_cases_reach_every_pick_path() {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::deterministic("disk_sched::coverage");
+        let strategy = case_strategy();
+        let mut reached = Reached::default();
+        for _ in 0..2_000 {
+            let case = strategy.generate(&mut rng);
+            run_case(&case, |queue, bw, head, now| {
+                classify(&case, queue, bw, head, now, &mut reached)
+            });
+        }
+        assert!(reached.fallback > 100, "{reached:?}");
+        assert!(reached.skipped_stream > 100, "{reached:?}");
+        assert!(reached.wrap > 100, "{reached:?}");
+        assert!(reached.seq_tie > 100, "{reached:?}");
+        assert!(reached.built_in_only > 100, "{reached:?}");
     }
 }
