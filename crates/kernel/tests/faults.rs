@@ -92,9 +92,9 @@ fn retries_are_bounded_and_failures_surface_to_process() {
 /// and whose metadata writes it waits on, and a reader, whose misses and
 /// read-ahead fill the cache. Both disks fail far more requests than the
 /// retry budget absorbs. Every given-up request must retire like a
-/// completed one: the run completes, and no frame is left pinned that no
-/// outstanding request holds, nor the other way round
-/// (`Kernel::check_invariants`).
+/// completed one: the run completes, no frame is left pinned that no
+/// outstanding request holds, nor the other way round, and no request
+/// purpose outlives its request (`Kernel::check_invariants`).
 ///
 /// Skipping the unpin of a flushed frame fails this test. Skipping a
 /// swap-in's unpin does not: the toucher's exit frees its frames, pins
