@@ -1,25 +1,43 @@
 //! Property tests for the disk model and schedulers.
 
+use std::collections::BTreeMap;
+
 use event_sim::{SimDuration, SimTime};
-use hp_disk::{DiskDevice, DiskModel, DiskRequest, RequestKind, SchedulerKind};
+use hp_disk::{Completion, DiskDevice, DiskModel, DiskRequest, RequestKind, SchedulerKind};
 use proptest::prelude::*;
 use spu_core::SpuId;
 
 /// Drives a device until its queue drains, returning the completed
-/// request start sectors in service order.
-fn drain(device: &mut DiskDevice, mut completion: Option<hp_disk::Completion>) -> Vec<u64> {
+/// request start sectors in service order. The device's invariants are
+/// checked after every completion.
+fn drain(device: &mut DiskDevice, mut completion: Option<Completion>) -> Vec<u64> {
     let mut served = Vec::new();
     while let Some(c) = completion {
         let (done, next) = device.complete(c.at);
+        device.check_invariants();
         served.push(done.req.start);
         completion = next;
     }
     served
 }
 
-fn request_strategy() -> impl Strategy<Value = Vec<(u8, u64, u8)>> {
-    // (stream 0..3, start block 0..250k, sectors/8 1..16)
-    prop::collection::vec((0u8..3, 0u64..250_000, 1u8..16), 1..60)
+/// The stream with dense index `i`: kernel 0, shared 1, then the users.
+fn stream(i: u8) -> SpuId {
+    match i {
+        0 => SpuId::KERNEL,
+        1 => SpuId::SHARED,
+        n => SpuId::user(n as u32 - 2),
+    }
+}
+
+fn request_strategy() -> impl Strategy<Value = Vec<(SpuId, u64, u8)>> {
+    // (stream: kernel, shared or user 0..3; start block 0..250k;
+    // sectors/8 1..16)
+    prop::collection::vec((0u8..5, 0u64..250_000, 1u8..16), 1..60).prop_map(|reqs| {
+        reqs.into_iter()
+            .map(|(s, b, n)| (stream(s), b, n))
+            .collect()
+    })
 }
 
 proptest! {
@@ -35,7 +53,7 @@ proptest! {
             let start = block * 8;
             submitted.push(start);
             let r = DiskRequest::new(
-                SpuId::user(stream as u32),
+                stream,
                 RequestKind::Read,
                 start,
                 sectors8 as u32 * 8,
@@ -43,6 +61,7 @@ proptest! {
             if let Some(c) = device.submit(r, SimTime::ZERO) {
                 completion = Some(c);
             }
+            device.check_invariants();
         }
         let mut served = drain(&mut device, completion);
         let mut expected = submitted.clone();
@@ -119,7 +138,7 @@ proptest! {
         let mut completion = None;
         for &(stream, block, sectors8) in &reqs {
             let r = DiskRequest::new(
-                SpuId::user(stream as u32),
+                stream,
                 RequestKind::Write,
                 block * 8,
                 sectors8 as u32 * 8,
@@ -134,5 +153,54 @@ proptest! {
             last = c.at;
             completion = device.complete(c.at).1;
         }
+    }
+
+    /// Under Hybrid a shared or kernel request never starts service
+    /// while a user request is queued (§3.3: shared writes have the
+    /// lowest priority). Requests arrive in batches between completions,
+    /// so the queue's mix changes while it drains; each start is checked
+    /// against the test's own record of the requests submitted and not
+    /// yet started, keyed by the submission order `Completion::id`
+    /// carries.
+    #[test]
+    fn hybrid_starts_built_in_requests_only_with_no_user_queued(
+        reqs in request_strategy(),
+        batch in 1usize..8,
+    ) {
+        let mut device = DiskDevice::new(DiskModel::hp97560(), SchedulerKind::Hybrid, 5);
+        let mut waiting: BTreeMap<u64, SpuId> = BTreeMap::new();
+        let check_start = |c: Completion, waiting: &mut BTreeMap<u64, SpuId>| {
+            let stream = waiting.remove(&c.id.0).expect("a submitted request starts once");
+            prop_assert!(
+                stream.is_user() || waiting.values().all(|s| !s.is_user()),
+                "{stream} request {} started with a user request queued",
+                c.id.0
+            );
+        };
+        let mut batches = reqs.chunks(batch);
+        let mut completion: Option<Completion> = None;
+        let mut now = SimTime::ZERO;
+        let mut seq = 0;
+        loop {
+            if let Some(b) = batches.next() {
+                for &(stream, block, sectors8) in b {
+                    waiting.insert(seq, stream);
+                    seq += 1;
+                    let r = DiskRequest::new(stream, RequestKind::Read, block * 8, sectors8 as u32 * 8);
+                    if let Some(c) = device.submit(r, now) {
+                        check_start(c, &mut waiting);
+                        completion = Some(c);
+                    }
+                }
+            }
+            let Some(c) = completion.take() else { break };
+            now = c.at;
+            completion = device.complete(now).1;
+            device.check_invariants();
+            if let Some(n) = completion {
+                check_start(n, &mut waiting);
+            }
+        }
+        prop_assert!(waiting.is_empty(), "{} requests never started", waiting.len());
     }
 }
