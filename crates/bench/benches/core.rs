@@ -44,6 +44,7 @@ fn main() {
     micro_targets::bench_fault_resident(&mut c);
     micro_targets::bench_swapin_batch(&mut c);
     micro_targets::bench_bufcache_flush(&mut c);
+    micro_targets::bench_disk_hybrid_deep_queue(&mut c);
     micro_targets::bench_export(&mut c);
     let micro = take_measurements();
 

@@ -14,11 +14,12 @@ pub use experiments::Scale;
 /// `BENCH_core.json` baseline: the kernel hot paths this repo
 /// optimises — event-queue churn and same-instant bursts, scheduler
 /// picks and steals, booting and running a 512-CPU machine, the
-/// page-fault path, the buffer cache's write-behind cycle and the
-/// export renderers.
+/// page-fault path, the buffer cache's write-behind cycle, the disk
+/// pick and the export renderers.
 pub mod micro_targets {
     use criterion::{black_box, Criterion};
     use event_sim::{EventQueue, SimDuration, SimTime};
+    use hp_disk::{DiskDevice, DiskModel, DiskRequest, RequestKind, SchedulerKind};
     use smp_kernel::{
         BufferCache, FileId, FrameId, Kernel, MachineConfig, ProcTable, Process, Program, Scheduler,
     };
@@ -311,6 +312,55 @@ pub mod micro_targets {
                     }
                 }
                 black_box(flushed)
+            })
+        });
+    }
+
+    /// The Hybrid disk pick on a deep queue, driven without a kernel: a
+    /// [`DiskDevice`] with 18 streams (kernel, shared and 16 users) and
+    /// 96 queued 64-sector reads from 4 busy users. The 12 idle users
+    /// pull the average usage down, so every queued stream fails the
+    /// fairness criterion and each pick takes the fairness fallback, as
+    /// most picks on simbench's `mem_pressure` do. Each iteration times
+    /// 4,000 completions; each submits a new request on the completed
+    /// request's stream at a pseudo-random sector, so 96 stay queued.
+    pub fn bench_disk_hybrid_deep_queue(c: &mut Criterion) {
+        const USERS: usize = 16;
+        const BUSY: u32 = 4;
+        const QUEUED: u32 = 96;
+        const COMPLETIONS: u32 = 4_000;
+        const SECTORS: u32 = 64;
+        let model = DiskModel::hp97560();
+        let span = model.total_sectors() - u64::from(SECTORS);
+        let mut disk = DiskDevice::new(model, SchedulerKind::Hybrid, USERS + 2);
+        // xorshift64: a fixed pseudo-random sequence of start sectors.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut sector = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % span
+        };
+        let read = |stream, start| DiskRequest::new(stream, RequestKind::Read, start, SECTORS);
+        // The first request starts at once; the other 96 queue.
+        let mut next = None;
+        for i in 0..=QUEUED {
+            if let Some(c) = disk.submit(read(SpuId::user(i % BUSY), sector()), SimTime::ZERO) {
+                next = Some(c);
+            }
+        }
+        let mut next = next.expect("the idle disk starts the first request");
+        c.bench_function("disk/hybrid_deep_queue", |b| {
+            b.iter(|| {
+                let mut sum = 0u64;
+                for _ in 0..COMPLETIONS {
+                    let (done, started) = disk.complete(next.at);
+                    let queued = disk.submit(read(done.req.stream, sector()), next.at);
+                    assert!(queued.is_none(), "the disk is busy");
+                    next = started.expect("the queue never drains");
+                    sum += done.req.start;
+                }
+                black_box(sum)
             })
         });
     }
